@@ -172,6 +172,28 @@ class Optimum:
     f_value: float
 
 
+def golden_section_max(f, a, b, tol):
+    """Golden-section search for the maximum of a unimodal f on [a, b].
+
+    Returns the bracket midpoint once b - a <= tol; on a tie the left part
+    is kept. A minimum of F is found as the maximum of -F.
+    """
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc = f(c)
+    fd = f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _chi_at_eta(params, eta):
     pt = replace(params, eta=eta)
     srep = steady_state(pt)
@@ -182,7 +204,9 @@ def maximize_chi_over_eta(params, bracket=None):
     """Locate the interior maximum of chi(eta) on the bracket.
 
     A 64-point scan selects the best grid cell; golden-section search
-    then narrows it to |d eta| <= 1e-8 (ties broken toward smaller eta).
+    then narrows it to |d eta| <= 1e-8 (ties broken toward smaller eta);
+    where it lands below the best scan point, a dense scan of the cell
+    that keeps that point decides (method "grid_refine").
     If the scan puts the maximum on a bracket endpoint the function
     raises BoundaryMaximumError with the endpoint values, since a
     boundary argmax means the bracket does not contain the claimed
@@ -222,28 +246,16 @@ def maximize_chi_over_eta(params, bracket=None):
                 f"chi(lo)={raw[0]:.6g}, chi(hi)={raw[-1]:.6g}, "
                 f"chi(best)={vals[i]:.6g}")
 
-        a, b = float(xs[i - 1]), float(xs[i + 1])
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        fc = _chi_at_eta(params, c)
-        fd = _chi_at_eta(params, d)
-        while b - a > 1e-8:
-            if fc >= fd:
-                b, d, fd = d, c, fc
-                c = b - _GOLDEN * (b - a)
-                fc = _chi_at_eta(params, c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _GOLDEN * (b - a)
-                fd = _chi_at_eta(params, d)
-        eta_star = 0.5 * (a + b)
+        eta_star = golden_section_max(lambda x: _chi_at_eta(params, x),
+                                      float(xs[i - 1]), float(xs[i + 1]), 1e-8)
         chi_star = _chi_at_eta(params, eta_star)
         method = "golden_section"
         if chi_star + 1e-15 < vals[i]:
-            # non-unimodal cell: fall back to a dense scan of the cell
-            xs2 = np.linspace(xs[i - 1], xs[i + 1], 256)
+            # non-unimodal cell: dense scan of the cell, which straddles the
+            # scan maximum xs[i], so that point stays a candidate
+            xs2 = np.append(np.linspace(xs[i - 1], xs[i + 1], 256), xs[i])
             vals2 = np.array([_chi_at_eta(params, x) for x in xs2])
-            j = int(np.argmax(vals2))
+            j = int(np.nanargmax(vals2))
             eta_star, chi_star = float(xs2[j]), float(vals2[j])
             method = "grid_refine"
         try:

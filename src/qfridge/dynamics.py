@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .linalg import partial_trace, tensor, trace_distance
-from .model import N_UP, thermal_populations, thermal_qubit, initial_state, \
-    build_hamiltonian
+from .linalg import embed, partial_trace, trace_distance
+from .model import (build_hamiltonian, initial_state, thermal_populations,
+                    thermal_qubit)
 
 # drift thresholds monitored along every trajectory
 TRACE_DRIFT_TOL = 1e-9
@@ -45,61 +45,35 @@ class Trajectory:
         return len(self.times)
 
 
-def _thermal_taus(params):
-    r = thermal_populations(params)
-    return [thermal_qubit(r.r_c), thermal_qubit(r.r_r), thermal_qubit(r.r_h)]
-
-
-def _reset_embed(reduced, which, tau):
-    """tau_i (x) tr_i(rho) with tau_i at the slot of qubit `which`."""
-    if which == "c":
-        return tensor(tau, reduced)
-    if which == "h":
-        return tensor(reduced, tau)
-    # middle slot: reorder indices explicitly
-    out = np.zeros((8, 8), dtype=complex)
-    for i0 in range(2):
-        for j0 in range(2):
-            for i1 in range(2):
-                for j1 in range(2):
-                    for i2 in range(2):
-                        for j2 in range(2):
-                            out[4 * i0 + 2 * i1 + i2, 4 * j0 + 2 * j1 + j2] = \
-                                tau[i1, j1] * reduced[2 * i0 + i2, 2 * j0 + j2]
-    return out
-
-
 def liouvillian_apply(params, rho):
-    """Right-hand side of the master equation at state rho.
+    """Right-hand side of the master equation at rho, 8x8 or (..., 8, 8).
 
     Trace-free and Hermiticity-preserving by construction.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (8, 8):
+    if rho.shape[-2:] != (8, 8):
         raise ValueError("liouvillian_apply: expected an 8x8 matrix")
     H = build_hamiltonian(params)
     out = -1j * (H @ rho - rho @ H)
-    taus = _thermal_taus(params)
+    r = thermal_populations(params).as_array()
     for i, label in enumerate("crh"):
         p = params.ps[i]
         if p == 0:
             continue
-        out = out + p * (_reset_embed(partial_trace(rho, label), label, taus[i]) - rho)
+        reset = embed(thermal_qubit(r[i]), partial_trace(rho, label), label)
+        out = out + p * (reset - rho)
     return out
 
 
 def liouvillian_matrix(params):
     """64x64 matrix L with vec(liouvillian_apply(rho)) = L @ vec(rho).
 
-    Built by applying the generator to the 64 matrix units.
+    Column k is liouvillian_apply of the k-th matrix unit, all 64 as one
+    stack.
     """
-    L = np.zeros((64, 64), dtype=complex)
-    unit = np.zeros((8, 8), dtype=complex)
-    for col in range(64):
-        unit.flat[col] = 1.0
-        L[:, col] = liouvillian_apply(params, unit).ravel()
-        unit.flat[col] = 0.0
-    return L
+    units = np.eye(64, dtype=complex).reshape(64, 8, 8)
+    return np.ascontiguousarray(
+        liouvillian_apply(params, units).reshape(64, 64).T)
 
 
 def heat_current_cold(params, rho):
@@ -108,13 +82,13 @@ def heat_current_cold(params, rho):
     J_c = p_c tr[(E_c |1><1|_c (x) I) (tau_c (x) tr_c rho - rho)]: the
     energy flow into the cold qubit through its reset channel. Positive J_c
     means heat is being drawn out of the cold bath (refrigeration). At the
-    steady state this equals q*gamma*E_c exactly.
+    steady state this equals q*gamma*E_c exactly. Evaluated as its exact
+    reduction p_c E_c (rbar_c tr(rho) - tr(rho[4:, 4:])).
     """
     rho = np.asarray(rho, dtype=complex)
-    r = thermal_populations(params)
-    reset_c = _reset_embed(partial_trace(rho, "c"), "c", thermal_qubit(r.r_c)) - rho
-    n_c = tensor(N_UP, np.eye(4, dtype=complex))
-    return params.p_c * params.E_c * float(np.trace(n_c @ reset_c).real)
+    rbar_c = thermal_populations(params).rbar_c
+    excess = rbar_c * np.trace(rho) - np.trace(rho[4:, 4:])
+    return params.p_c * params.E_c * float(excess.real)
 
 
 def default_dt(params):

@@ -1,8 +1,9 @@
 """Dense complex matrix kernel for three-qubit (dimension 8) objects.
 
 Everything here is plain numpy on small dense arrays: tensor products,
-partial traces, commutators, Hilbert-Schmidt inner products, and an
-SVD-based null-space solver for the 64x64 vectorized generator.
+partial traces and their inverse slot embedding, commutators,
+Hilbert-Schmidt inner products, and an SVD-based null-space solver for
+the 64x64 vectorized generator.
 
 Basis convention (inherited by every other module): the computational basis
 of the three qubits (c, r, h) is ordered with c most significant, so the
@@ -41,22 +42,42 @@ def tensor(A, B):
 
 
 def partial_trace(rho, which):
-    """Trace out one qubit of an 8x8 operator.
+    """Trace out one qubit of an 8x8 operator, or of a stack (..., 8, 8).
 
     which : 'c', 'r' or 'h'. The remaining two qubits keep their relative
     order from (c, r, h), e.g. tracing 'r' leaves the (c, h) pair.
     Linear and trace-preserving.
     """
     rho = np.asarray(rho)
-    if rho.shape != (8, 8):
+    if rho.shape[-2:] != (8, 8):
         raise ValueError("partial_trace: expected an 8x8 matrix")
     if which not in SUBSYSTEMS:
         raise ValueError("partial_trace: subsystem must be one of 'c', 'r', 'h'")
-    t = rho.reshape(2, 2, 2, 2, 2, 2)
-    i = SUBSYSTEMS[which]
+    t = rho.reshape(rho.shape[:-2] + (2,) * 6)
     # contract the row/column indices of the traced qubit
-    spec = ["iabicd", "aibcid", "abicdi"][i]
-    return np.einsum(spec + "->abcd", t).reshape(4, 4)
+    spec = ["iabicd", "aibcid", "abicdi"][SUBSYSTEMS[which]]
+    out = np.einsum("..." + spec + "->...abcd", t)
+    return out.reshape(rho.shape[:-2] + (4, 4))
+
+
+def embed(op, rest, which):
+    """A 2x2 op on qubit `which` times a 4x4 rest on the other two qubits.
+
+    rest keeps the (c, r, h) order of its qubits. The slot map inverse to
+    partial_trace: partial_trace(embed(op, rest, w), w) = tr(op) rest.
+    Leading stack axes of either argument broadcast to a (..., 8, 8) result.
+    """
+    op = np.asarray(op)
+    rest = np.asarray(rest)
+    if op.shape[-2:] != (2, 2) or rest.shape[-2:] != (4, 4):
+        raise ValueError("embed: expected a 2x2 operator and a 4x4 rest")
+    if which not in SUBSYSTEMS:
+        raise ValueError("embed: subsystem must be one of 'c', 'r', 'h'")
+    # row/column indices (a, b, c | d, e, f) of the three qubits
+    spec = ["ad,...bcef", "be,...acdf", "cf,...abde"][SUBSYSTEMS[which]]
+    out = np.einsum("..." + spec + "->...abcdef", op,
+                    rest.reshape(rest.shape[:-2] + (2,) * 4))
+    return out.reshape(out.shape[:-6] + (8, 8))
 
 
 def commutator(A, B):

@@ -16,7 +16,6 @@ import numpy as np
 
 from .linalg import tensor
 
-N_UP = np.diag([0.0, 1.0]).astype(complex)   # excited-state projector
 IDX_INNER = (2, 5)   # |010>, |101>  (k = 4c + 2r + h)
 IDX_OUTER = (0, 7)   # |000>, |111>
 
@@ -152,6 +151,12 @@ def thermal_qubit(r):
     return np.diag([r, 1.0 - r]).astype(complex)
 
 
+def thermal_product(r):
+    """The thermal product state tau_c (x) tau_r (x) tau_h, 8x8 diagonal."""
+    return tensor(thermal_qubit(r.r_c),
+                  tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+
+
 def build_hamiltonian(params):
     """H = sum_i E_i |1><1|_i + g(|101><010| + |010><101|), 8x8 Hermitian."""
     E_c, E_r, E_h = params.energies
@@ -167,11 +172,8 @@ def build_hamiltonian(params):
 
 def interaction_hamiltonian(params):
     """Just the g(|101><010| + h.c.) part of the Hamiltonian."""
-    H = np.zeros((8, 8), dtype=complex)
-    i, j = IDX_INNER
-    H[j, i] = params.g
-    H[i, j] = params.g
-    return H
+    H = build_hamiltonian(params)
+    return H - np.diag(np.diag(H))
 
 
 def coherence_matrix(params, r=None):
@@ -204,8 +206,7 @@ def initial_state(params):
     spectrum dips below -1e-12 (cannot happen for kappa <= 1).
     """
     r = thermal_populations(params)
-    rho = tensor(thermal_qubit(r.r_c),
-                 tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    rho = thermal_product(r)
     mu = coherence_matrix(params, r)
     if params.kappa > 0:
         rho = rho + mu

@@ -15,11 +15,12 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import FridgeError, PoleError, UndefinedChiError
-from .linalg import commutator, hs_norm, tensor, trace_product
+from .linalg import commutator, hs_norm, trace_product
 from .model import (build_hamiltonian, coherence_matrix,
-                    initial_state, thermal_populations, thermal_qubit)
+                    initial_state, thermal_populations, thermal_product)
 from .dynamics import liouvillian_apply
-from .steady import reset_combos, lambda_weight, bias_delta, steady_state
+from .steady import (bias_delta, lambda_weight, reset_combos, sigma_matrix,
+                     steady_state)
 
 
 class TrivialEvolutionWarning(UserWarning):
@@ -89,8 +90,7 @@ def qsl_time(params, steady):
     trivial-evolution warning) when the initial state is stationary.
     """
     r = thermal_populations(params)
-    rho_diag = tensor(thermal_qubit(r.r_c),
-                      tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    rho_diag = thermal_product(r)
     mu = coherence_matrix(params, r)
     gen = lindblad_adjoint_initial(params)
     norm = hs_norm(gen)
@@ -218,10 +218,8 @@ def bsocr_coherent_coeffs(params):
     q = combos.q
     g = params.g
 
-    from .steady import sigma_matrix   # local import to avoid cycle at module load
     sigma = sigma_matrix(combos, r, params)
-    rho_diag = tensor(thermal_qubit(r.r_c),
-                      tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    rho_diag = thermal_product(r)
     mu = coherence_matrix(params, r)
     H = build_hamiltonian(params)
     M = -1j * commutator(H, rho_diag + mu)
@@ -289,10 +287,8 @@ def tradeoff_coeffs(params):
     delta = bias_delta(r)
     lam = lambda_weight(combos, r)
     q = combos.q
-    from .steady import sigma_matrix
     sigma = sigma_matrix(combos, r, params)
-    rho0 = tensor(thermal_qubit(r.r_c),
-                  tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    rho0 = thermal_product(r)
     trs = float(trace_product(rho0, sigma).real)
     return TradeoffCoeffs(
         xi1=-2.0 * params.E_c * delta / q,

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularRatesError
-from .linalg import partial_trace, tensor
-from .model import IDX_INNER, thermal_populations, thermal_qubit
+from .linalg import embed, partial_trace, tensor
+from .model import (IDX_INNER, thermal_populations, thermal_product,
+                    thermal_qubit)
 
 Z_C = np.diag([1.0, -1.0]).astype(complex)
 Z_R = np.diag([-1.0, 1.0]).astype(complex)
@@ -164,20 +165,6 @@ def _y_crh():
     return Y
 
 
-def _embed_mid(mid, outer4):
-    """Tensor a 2x2 operator at the middle slot with a 4x4 on qubits (c, h)."""
-    out = np.zeros((8, 8), dtype=complex)
-    for i0 in range(2):
-        for j0 in range(2):
-            for i1 in range(2):
-                for j1 in range(2):
-                    for i2 in range(2):
-                        for j2 in range(2):
-                            out[4 * i0 + 2 * i1 + i2, 4 * j0 + 2 * j1 + j2] = \
-                                mid[i1, j1] * outer4[2 * i0 + i2, 2 * j0 + j2]
-    return out
-
-
 def sigma_matrix(combos, r, params):
     """The traceless Hermitian steady-state correction matrix sigma.
 
@@ -186,7 +173,8 @@ def sigma_matrix(combos, r, params):
           + q_r (tau_r at the middle slot) Z_ch + q_h Z_cr x tau_h
           + Z_crh + (q/2g) Y,
     where Z_ij = tr_k Z_crh and each two-qubit Z_ij sits on its own qubits
-    with the thermal state on the remaining one.
+    with the thermal state on the remaining one (linalg.embed places the
+    single-qubit factor in every term).
     """
     if params.g <= 0:
         raise ValueError("sigma_matrix requires g > 0 (the Y term carries q/2g)")
@@ -194,15 +182,12 @@ def sigma_matrix(combos, r, params):
     tau_r = thermal_qubit(r.r_r)
     tau_h = thermal_qubit(r.r_h)
     Zcrh = _z_crh()
-    Z_rh = partial_trace(Zcrh, "c")
-    Z_ch = partial_trace(Zcrh, "r")
-    Z_cr = partial_trace(Zcrh, "h")
-    sig = (combos.Q_rh * tensor(Z_C, tensor(tau_r, tau_h))
-           + combos.Q_ch * tensor(tau_c, tensor(Z_R, tau_h))
-           + combos.Q_cr * tensor(tau_c, tensor(tau_r, Z_H))
-           + combos.q_c * tensor(tau_c, Z_rh)
-           + combos.q_r * _embed_mid(tau_r, Z_ch)
-           + combos.q_h * tensor(Z_cr, tau_h)
+    sig = (combos.Q_rh * embed(Z_C, tensor(tau_r, tau_h), "c")
+           + combos.Q_ch * embed(Z_R, tensor(tau_c, tau_h), "r")
+           + combos.Q_cr * embed(Z_H, tensor(tau_c, tau_r), "h")
+           + combos.q_c * embed(tau_c, partial_trace(Zcrh, "c"), "c")
+           + combos.q_r * embed(tau_r, partial_trace(Zcrh, "r"), "r")
+           + combos.q_h * embed(tau_h, partial_trace(Zcrh, "h"), "h")
            + Zcrh
            + (combos.q / (2.0 * params.g)) * _y_crh())
     return sig
@@ -234,9 +219,7 @@ def steady_state(params):
     r = thermal_populations(params)
     gamma = gamma_amplitude(params, combos, r)
     sigma = sigma_matrix(combos, r, params)
-    rho0 = tensor(thermal_qubit(r.r_c),
-                  tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
-    rho_f = rho0 + gamma * sigma
+    rho_f = thermal_product(r) + gamma * sigma
     om = omega_weights(r)
     if params.T_c < params.T_r < params.T_h:
         eta_car = carnot_cop(params.T_c, params.T_r, params.T_h)

@@ -15,17 +15,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundaryMaximumError
-from .linalg import commutator, hs_norm, null_space_1d, tensor, trace_distance
+from .linalg import commutator, hs_norm, null_space_1d, trace_distance
 from .model import (CohSubspace, FridgeParams, build_hamiltonian,
                     coherence_matrix, initial_state, interaction_hamiltonian,
-                    thermal_populations, thermal_qubit)
+                    thermal_populations, thermal_product)
 from .steady import (bias_delta, reset_combos, sigma_matrix,
                      steady_state)
-from .dynamics import (convergence_time, evolve, liouvillian_apply,
-                       liouvillian_matrix)
+from .dynamics import (convergence_time, evolve, heat_current_cold,
+                       liouvillian_apply, liouvillian_matrix)
 from .qsl import (bsocr, bsocr_closed_equal_p, qsl_time, tradeoff_coeffs)
 from .analysis import (SweepSpec, chi_highT, eta_opt_asymptotic, f_function,
-                       maximize_chi_over_eta, run_sweep)
+                       golden_section_max, maximize_chi_over_eta, run_sweep)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -116,8 +116,7 @@ def omega_variant_residuals(params):
     r = thermal_populations(params)
     delta = bias_delta(r)
     sigma = sigma_matrix(combos, r, params)
-    rho0 = tensor(thermal_qubit(r.r_c),
-                  tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    rho0 = thermal_product(r)
     out = {}
     for variant in ("printed", "symmetrized", "adopted"):
         lam = _omega_variant_lambda(variant, combos, r)
@@ -301,7 +300,6 @@ def check_speed_limit_bounds():
 # ----------------------------------------------------------------------
 
 def check_heat_current_identity():
-    from .dynamics import heat_current_cold
     results = []
     sets = (("equal p (fig2)", coupling_sweep_params()),
             ("unequal p (fig4)", efficiency_sweep_params()),
@@ -381,27 +379,6 @@ def check_coherence_boost():
 # criterion 8: high-temperature optimum-efficiency theorem
 # ----------------------------------------------------------------------
 
-def _argmin_f_interior(pp, lo, hi):
-    """Locate the interior critical point of F (a minimum) by golden search."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fc, fd = f_function(c, pp), f_function(d, pp)
-        while b - a > 1e-10:
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = f_function(c, pp)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = f_function(d, pp)
-    return 0.5 * (a + b)
-
-
 def check_high_temperature_theorem():
     results = []
     pp = theorem_params()
@@ -429,9 +406,10 @@ def check_high_temperature_theorem():
         warnings.simplefilter("ignore")
         grid = np.linspace(1e-2 * eta_c, (1 - 1e-6) * eta_c, 64)
         fvals = np.array([f_function(x, pp) for x in grid])
+        eta_min = golden_section_max(lambda x: -f_function(x, pp),
+                                     grid[0], grid[-1], 1e-10)
     i = int(np.argmax(fvals))
     if i == 0 or i == len(grid) - 1:
-        eta_min = _argmin_f_interior(pp, grid[0], grid[-1])
         results.append(CheckResult(
             "8", "exact root matches the numeric argmax of F", KNOWN,
             "F has no interior maximum on the cooling window: its only "
@@ -503,20 +481,7 @@ def check_regression_locks():
 
     def chi_p(p):
         return bsocr(rate_sweep_params(p=p, kappa=1.0, sub=CohSubspace.OUTER_DIAG))
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.03, 0.08
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = chi_p(c), chi_p(d)
-    while b - a > 1e-9:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = chi_p(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = chi_p(d)
-    p_star = 0.5 * (a + b)
+    p_star = golden_section_max(chi_p, 0.03, 0.08, 1e-9)
     chi_max = chi_p(p_star)
     ok = (abs(p_star - 0.05209) <= 5e-4
           and abs(chi_max / 2.045926e-2 - 1.0) <= 1e-6)

@@ -10,6 +10,7 @@ from qfridge import (BoundaryMaximumError, FridgeParams,
                      bsocr, carnot_cop, chi_highT, eta_opt_asymptotic,
                      f_function, maximize_chi_over_eta, run_sweep,
                      write_sweep_csv)
+from qfridge import analysis
 
 
 # ----------------------------------------------------------------------
@@ -140,6 +141,30 @@ def test_maximizer_agrees_with_fine_grid(unequal_rate_params):
     assert opt.eta_star == pytest.approx(etas[int(np.argmax(chis))],
                                          abs=(0.4 - 0.05) / 255)
     assert opt.chi_star >= max(chis) - 1e-12
+
+
+def test_golden_section_max_locates_peak():
+    x = analysis.golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0,
+                                    1e-10)
+    assert x == pytest.approx(0.3, abs=1e-9)
+    # a minimum is the maximum of the negated function
+    x = analysis.golden_section_max(lambda t: -abs(t + 2.0), -5.0, 5.0,
+                                    1e-10)
+    assert x == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_grid_refine_keeps_the_scan_maximum(cooling_params, monkeypatch):
+    # chi = 1 except for a 1e-6-wide spike of 2 at one scan point: golden
+    # section misses the spike and the dense cell grid straddles it
+    lo, hi = 0.05, 0.4
+    spike = float(np.linspace(lo, hi, 64)[20])
+    monkeypatch.setattr(analysis, "_chi_at_eta",
+                        lambda params, eta: 2.0 if abs(eta - spike) < 5e-7
+                        else 1.0)
+    opt = maximize_chi_over_eta(cooling_params, bracket=(lo, hi))
+    assert opt.method == "grid_refine"
+    assert opt.chi_star == 2.0
+    assert opt.eta_star == spike
 
 
 def test_maximizer_boundary_spike_raises():

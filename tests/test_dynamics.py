@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfridge import CohSubspace, steady_state, trace_distance
+from qfridge import (CohSubspace, partial_trace, steady_state, tensor,
+                     thermal_populations, thermal_qubit, trace_distance)
 from qfridge.dynamics import (avg_transient_power, convergence_time,
                               default_dt, default_t_end, evolve,
                               heat_current_cold, liouvillian_apply,
@@ -34,6 +35,11 @@ def test_liouvillian_matrix_matches_apply(rng):
         direct = liouvillian_apply(params, A)
         vec = (L @ A.reshape(64)).reshape(8, 8)
         assert np.abs(direct - vec).max() <= 1e-13
+    # a stack of states maps matrix by matrix
+    stack = rng.normal(size=(4, 8, 8)) + 1j * rng.normal(size=(4, 8, 8))
+    stacked = liouvillian_apply(params, stack)
+    for n in range(4):
+        assert np.array_equal(stacked[n], liouvillian_apply(params, stack[n]))
 
 
 def test_heat_current_definition(cooling_params):
@@ -41,6 +47,20 @@ def test_heat_current_definition(cooling_params):
     rep = steady_state(cooling_params)
     J = heat_current_cold(cooling_params, rep.rho_f)
     assert J == pytest.approx(rep.q_cool, rel=1e-10)
+
+
+def test_heat_current_matches_trace_definition(rng):
+    # J_c = p_c tr[(E_c n_c (x) I)(tau_c (x) tr_c rho - rho)], on matrices
+    # that are neither normalized nor Hermitian
+    n_c = tensor(np.diag([0.0, 1.0]), np.eye(4))
+    for _ in range(5):
+        params = random_params(rng)
+        rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        tau_c = thermal_qubit(thermal_populations(params).r_c)
+        reset = tensor(tau_c, partial_trace(rho, "c")) - rho
+        oracle = params.p_c * params.E_c * np.trace(n_c @ reset).real
+        assert heat_current_cold(params, rho) == pytest.approx(
+            oracle, rel=1e-13, abs=1e-15)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from qfridge import (IDX_INNER, IDX_OUTER, CohSubspace, FridgeParams,
                      coherence_matrix, ground_pop, initial_state,
                      interaction_hamiltonian, tensor, thermal_populations,
                      thermal_qubit)
+from qfridge.model import thermal_product
 from conftest import random_params
 
 
@@ -115,6 +116,7 @@ def test_initial_state_diagonal_is_thermal_product(cooling_params):
     prod = tensor(thermal_qubit(r.r_c),
                   tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
     rho0 = initial_state(cooling_params)
+    assert np.array_equal(thermal_product(r), prod)
     assert np.allclose(rho0, prod, atol=1e-15)
     assert np.trace(rho0) == pytest.approx(1.0)
 
