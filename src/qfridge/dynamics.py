@@ -77,7 +77,7 @@ def liouvillian_matrix(params):
 
 
 def heat_current_cold(params, rho):
-    """Cold-bath heat current J_c at state rho.
+    """Cold-bath heat current J_c at state rho, 8x8 or (..., 8, 8).
 
     J_c = p_c tr[(E_c |1><1|_c (x) I) (tau_c (x) tr_c rho - rho)]: the
     energy flow into the cold qubit through its reset channel. Positive J_c
@@ -87,8 +87,9 @@ def heat_current_cold(params, rho):
     """
     rho = np.asarray(rho, dtype=complex)
     rbar_c = thermal_populations(params).rbar_c
-    excess = rbar_c * np.trace(rho) - np.trace(rho[4:, 4:])
-    return params.p_c * params.E_c * float(excess.real)
+    excess = (rbar_c * np.trace(rho, axis1=-2, axis2=-1)
+              - np.trace(rho[..., 4:, 4:], axis1=-2, axis2=-1))
+    return params.p_c * params.E_c * excess.real
 
 
 def default_dt(params):
@@ -108,22 +109,29 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     """Fixed-step 4th-order integration from rho0 to t_end.
 
     rho0 defaults to the machine's initial state (thermal product plus the
-    configured coherence); t_end to 50/min(p_i); dt to 0.05/max(E_r, q).
-    Samples are stored every store_every steps (default keeps about 4000
-    samples); the final state is always stored. Trace, Hermiticity, and
-    positivity drift are monitored at the stored samples; exceeding the
-    thresholds raises IntegrationError (usually: reduce dt).
+    configured coherence); a rho0 that is not a finite 8x8 state (unit
+    trace, Hermitian, positive within the drift thresholds) raises
+    ValueError. t_end defaults to 50/min(p_i); dt to default_dt(params),
+    its largest allowed value. Samples are stored every store_every steps
+    (default keeps about 4000 samples); the final state is always stored.
+    Trace, Hermiticity, and positivity drift are monitored at the stored
+    samples; exceeding the thresholds raises IntegrationError (usually:
+    reduce dt).
     """
     if rho0 is None:
         rho0 = initial_state(params)
     rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (8, 8) or not np.all(np.isfinite(rho0)):
+        raise ValueError("evolve: rho0 must be a finite 8x8 matrix")
+    _check_state(rho0)
     if t_end is None:
         t_end = default_t_end(params)
     if not t_end > 0:
         raise ValueError("evolve: t_end must be positive")
+    dt_max = default_dt(params)
     if dt is None:
-        dt = min(default_dt(params), t_end)
-    if dt > 0.05 / max(params.E_r, params.q) * (1 + 1e-12):
+        dt = min(dt_max, t_end)
+    if dt > dt_max * (1 + 1e-12):
         raise ValueError("evolve: dt exceeds the stability heuristic 0.05/max(E_r, q)")
 
     n_steps = max(1, int(round(t_end / dt)))
@@ -141,7 +149,6 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
 
     times = [0.0]
     states = [rho0.copy()]
-    currents = [heat_current_cold(params, rho0)]
     v = rho0.ravel().copy()
     for n in range(1, n_steps + 1):
         v = R @ v
@@ -150,35 +157,31 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
             _check_state(rho, n * dt)
             times.append(n * dt)
             states.append(rho.copy())
-            currents.append(heat_current_cold(params, rho))
-    return Trajectory(np.array(times), np.array(states), np.array(currents))
+    states = np.array(states)
+    return Trajectory(np.array(times), states,
+                      heat_current_cold(params, states))
 
 
-def _check_state(rho, t):
+def _check_state(rho, t=None):
+    """Check rho's trace, Hermiticity and positivity drift against the
+    thresholds: IntegrationError for the sample stored at time t,
+    ValueError for an initial state (t None)."""
+    if t is None:
+        error, where, hint = ValueError, "in rho0", ""
+    else:
+        error, where, hint = IntegrationError, "at t=%.6g" % t, "; reduce dt"
     tr_drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
     if tr_drift > TRACE_DRIFT_TOL:
-        raise IntegrationError(
-            "trace drift %.3e at t=%.6g exceeds %.0e; reduce dt"
-            % (tr_drift, t, TRACE_DRIFT_TOL))
+        raise error("trace drift %.3e %s exceeds %.0e%s"
+                    % (tr_drift, where, TRACE_DRIFT_TOL, hint))
     herm = float(np.linalg.norm(rho - rho.conj().T)) / 2.0
     if herm > HERM_DRIFT_TOL:
-        raise IntegrationError(
-            "Hermiticity drift %.3e at t=%.6g exceeds %.0e; reduce dt"
-            % (herm, t, HERM_DRIFT_TOL))
+        raise error("Hermiticity drift %.3e %s exceeds %.0e%s"
+                    % (herm, where, HERM_DRIFT_TOL, hint))
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
     if min_eig < MIN_EIG_TOL:
-        raise IntegrationError(
-            "negative eigenvalue %.3e at t=%.6g beyond %.0e; reduce dt"
-            % (min_eig, t, MIN_EIG_TOL))
-
-
-def rk4_step_reference(params, rho, dt):
-    """One textbook RK4 step from the elementwise generator (test oracle)."""
-    k1 = liouvillian_apply(params, rho)
-    k2 = liouvillian_apply(params, rho + 0.5 * dt * k1)
-    k3 = liouvillian_apply(params, rho + 0.5 * dt * k2)
-    k4 = liouvillian_apply(params, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        raise error("negative eigenvalue %.3e %s beyond %.0e%s"
+                    % (min_eig, where, MIN_EIG_TOL, hint))
 
 
 def convergence_time(traj, rho_target, eps=1e-3):
@@ -191,14 +194,3 @@ def convergence_time(traj, rho_target, eps=1e-3):
             return float(t)
     return None
 
-
-def avg_transient_power(traj):
-    """Time-averaged transient cooling acceleration J_c(t_end)/t_end.
-
-    The trajectory must start from a state with J_c(0) = 0 (the machine's
-    own initial state), so this equals the time average of dJ_c/dt over
-    [0, t_end].
-    """
-    if len(traj) == 0 or traj.times[-1] <= 0:
-        raise ValueError("avg_transient_power: trajectory must end at t > 0")
-    return float(traj.currents[-1] / traj.times[-1])

@@ -2,8 +2,8 @@
 
 Everything here is plain numpy on small dense arrays: tensor products,
 partial traces and their inverse slot embedding, commutators,
-Hilbert-Schmidt inner products, and an SVD-based null-space solver for
-the 64x64 vectorized generator.
+Hilbert-Schmidt norms, trace products, and an SVD-based null-space solver
+for the 64x64 vectorized generator.
 
 Basis convention (inherited by every other module): the computational basis
 of the three qubits (c, r, h) is ordered with c most significant, so the
@@ -87,15 +87,6 @@ def commutator(A, B):
     if A.shape != B.shape:
         raise ValueError("commutator: dimension mismatch")
     return A @ B - B @ A
-
-
-def hs_inner(A, B):
-    """Hilbert-Schmidt inner product tr(A^dag B)."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError("hs_inner: dimension mismatch")
-    return np.trace(A.conj().T @ B)
 
 
 def hs_norm(A):

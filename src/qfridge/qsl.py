@@ -53,29 +53,16 @@ class TradeoffCoeffs:
     The parametrization is invariant under joint rescaling of all four
     coefficients; they are normalized here so that ups2 = 1, which is the
     unique normalization under which all three identities hold exactly.
-    lam is the bare population-weighted rate sum 2 + sum q_i + sum Q Omega.
     """
     xi1: float
     xi2: float
     ups1: float
     ups2: float
-    lam: float
 
 
 # ----------------------------------------------------------------------
-# generator action and the speed limit
+# the speed limit
 # ----------------------------------------------------------------------
-
-def lindblad_adjoint_initial(params):
-    """Action of the generator on the initial state, L[rho0].
-
-    For kappa = 0 this is exactly -i[H_int, rho0] (the diagonal part of H
-    commutes with the diagonal product state and each reset channel fixes
-    its own thermal state). With coherence it equals -i[H, rho0 + mu] - q mu
-    because mu is traceless on every qubit.
-    """
-    return liouvillian_apply(params, initial_state(params))
-
 
 def qsl_time(params, steady):
     """QslReport for the machine: tau, its two factors, and chi.
@@ -92,8 +79,7 @@ def qsl_time(params, steady):
     r = thermal_populations(params)
     rho_diag = thermal_product(r)
     mu = coherence_matrix(params, r)
-    gen = lindblad_adjoint_initial(params)
-    norm = hs_norm(gen)
+    norm = hs_norm(liouvillian_apply(params, initial_state(params)))
     trs = float(trace_product(rho_diag, steady.sigma).real)
     gap = abs(steady.gamma * trs - float(trace_product(mu, mu).real))
     if norm == 0.0:
@@ -295,5 +281,4 @@ def tradeoff_coeffs(params):
         xi2=math.sqrt(2.0) * abs(trs) / q ** 2,
         ups1=2.0 * lam / q ** 2,
         ups2=1.0,
-        lam=lam,
     )

@@ -53,9 +53,6 @@ class ResetCombos:
 class SteadyReport:
     """Everything the steady state determines at one parameter point."""
     delta: float
-    omega_cr: float
-    omega_ch: float
-    omega_rh: float
     gamma: float
     sigma: np.ndarray
     rho_f: np.ndarray
@@ -104,11 +101,6 @@ def bias_delta(r):
     return r.r_c * (1.0 - r.r_r) * r.r_h - (1.0 - r.r_c) * r.r_r * (1.0 - r.r_h)
 
 
-def _primed(r):
-    """Primed populations: r' flips only the middle (r) qubit."""
-    return np.array([r.r_c, 1.0 - r.r_r, r.r_h])
-
-
 def omega_weights(r):
     """Pair weights Omega_jk = r'_j r'_k + (1-r'_j)(1-r'_k) over {cr, ch, rh}.
 
@@ -117,7 +109,7 @@ def omega_weights(r):
     generator (the printed asymmetric form and its symmetrization both fail
     the residual test by many orders of magnitude).
     """
-    rp = _primed(r)
+    rp = np.array([r.r_c, 1.0 - r.r_r, r.r_h])   # r' flips the middle qubit
     pairs = [(0, 1), (0, 2), (1, 2)]
     return tuple(rp[j] * rp[k] + (1.0 - rp[j]) * (1.0 - rp[k]) for j, k in pairs)
 
@@ -220,14 +212,12 @@ def steady_state(params):
     gamma = gamma_amplitude(params, combos, r)
     sigma = sigma_matrix(combos, r, params)
     rho_f = thermal_product(r) + gamma * sigma
-    om = omega_weights(r)
     if params.T_c < params.T_r < params.T_h:
         eta_car = carnot_cop(params.T_c, params.T_r, params.T_h)
     else:
         eta_car = float("nan")   # degenerate temperatures: no Carnot point
     return SteadyReport(
         delta=bias_delta(r),
-        omega_cr=om[0], omega_ch=om[1], omega_rh=om[2],
         gamma=gamma,
         sigma=sigma,
         rho_f=rho_f,

@@ -65,12 +65,6 @@ def coupling_sweep_params(g=0.05, p=0.05, kappa=0.0, sub=None):
                         coh_subspace=sub)
 
 
-def rate_sweep_params(p=0.02, g=0.05, kappa=0.0, sub=None):
-    """Rate-sweep set: same bath/energy data as the coupling-sweep set,
-    g fixed at 0.05."""
-    return coupling_sweep_params(g=g, p=p, kappa=kappa, sub=sub)
-
-
 def efficiency_sweep_params(eta=0.4):
     """Efficiency-sweep set: T=(1,2,10), unequal p=(0.01,0.02,0.05), g=0.01."""
     return FridgeParams(E_c=1.0, eta=eta, T_c=1.0, T_r=2.0, T_h=10.0,
@@ -86,7 +80,7 @@ def theorem_params(eta=0.029):
 
 _NAMED_SETS = (("tradeoff", tradeoff_params),
                ("coupling", coupling_sweep_params),
-               ("rate", rate_sweep_params),
+               ("rate", lambda: coupling_sweep_params(p=0.02)),
                ("efficiency", efficiency_sweep_params))
 
 
@@ -480,7 +474,8 @@ def check_regression_locks():
         f"chi_star = {opt.chi_star:.8e} (locked 1.43886702e-4, rel 1e-7)"))
 
     def chi_p(p):
-        return bsocr(rate_sweep_params(p=p, kappa=1.0, sub=CohSubspace.OUTER_DIAG))
+        return bsocr(coupling_sweep_params(p=p, kappa=1.0,
+                                           sub=CohSubspace.OUTER_DIAG))
     p_star = golden_section_max(chi_p, 0.03, 0.08, 1e-9)
     chi_max = chi_p(p_star)
     ok = (abs(p_star - 0.05209) <= 5e-4

@@ -8,9 +8,9 @@ import pytest
 from qfridge import (BoundaryMaximumError, FridgeParams,
                      HighTemperatureValidityWarning, PoleError, SweepSpec,
                      bsocr, carnot_cop, chi_highT, eta_opt_asymptotic,
-                     f_function, maximize_chi_over_eta, run_sweep,
-                     write_sweep_csv)
+                     f_function, maximize_chi_over_eta, run_sweep)
 from qfridge import analysis
+from qfridge.analysis import write_sweep_csv
 
 
 # ----------------------------------------------------------------------

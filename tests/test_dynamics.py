@@ -3,13 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfridge import (CohSubspace, partial_trace, steady_state, tensor,
-                     thermal_populations, thermal_qubit, trace_distance)
-from qfridge.dynamics import (avg_transient_power, convergence_time,
-                              default_dt, default_t_end, evolve,
-                              heat_current_cold, liouvillian_apply,
-                              liouvillian_matrix, rk4_step_reference)
+from qfridge import CohSubspace, steady_state, trace_distance
+from qfridge.dynamics import (convergence_time, default_dt, default_t_end,
+                              evolve, heat_current_cold, liouvillian_apply,
+                              liouvillian_matrix)
+from qfridge.linalg import partial_trace, tensor
+from qfridge.model import thermal_populations, thermal_qubit
 from conftest import random_params
+
+
+def rk4_step_reference(params, rho, dt):
+    """One textbook RK4 step from the elementwise generator (test oracle)."""
+    k1 = liouvillian_apply(params, rho)
+    k2 = liouvillian_apply(params, rho + 0.5 * dt * k1)
+    k3 = liouvillian_apply(params, rho + 0.5 * dt * k2)
+    k4 = liouvillian_apply(params, rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 # ----------------------------------------------------------------------
@@ -61,6 +70,12 @@ def test_heat_current_matches_trace_definition(rng):
         oracle = params.p_c * params.E_c * np.trace(n_c @ reset).real
         assert heat_current_cold(params, rho) == pytest.approx(
             oracle, rel=1e-13, abs=1e-15)
+    # a stack of matrices maps matrix by matrix
+    stack = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+    stacked = heat_current_cold(params, stack)
+    assert stacked.shape == (3,)
+    for n in range(3):
+        assert stacked[n] == heat_current_cold(params, stack[n])
 
 
 # ----------------------------------------------------------------------
@@ -87,6 +102,29 @@ def test_defaults(cooling_params):
 def test_evolve_rejects_oversized_step(cooling_params):
     with pytest.raises(ValueError):
         evolve(cooling_params, t_end=1.0, dt=10.0)
+
+
+_E00 = np.diag([1.0, 0, 0, 0, 0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("rho0", [
+    np.full((8, 8), np.nan),                     # not finite
+    np.eye(8),                                   # trace 8
+    np.eye(4) / 4,                               # not 8x8
+    _E00 + 0.1j * np.eye(8, k=1),                # not Hermitian
+    np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]),      # not positive
+])
+def test_evolve_rejects_a_rho0_that_is_not_a_state(cooling_params, rho0):
+    # bad input is named as such: not an IntegrationError that blames dt,
+    # nor numpy's "Eigenvalues did not converge"
+    with pytest.raises(ValueError, match="rho0"):
+        evolve(cooling_params, rho0=rho0, t_end=1.0)
+
+
+def test_evolve_accepts_a_state_at_the_drift_thresholds(cooling_params):
+    rho0 = steady_state(cooling_params).rho_f * (1 + 5e-10)
+    traj = evolve(cooling_params, rho0=rho0, t_end=1.0)
+    assert np.array_equal(traj.states[0], rho0)
 
 
 def test_trajectory_endpoints_and_monotonicity(cooling_params):
@@ -116,12 +154,6 @@ def test_relaxation_reaches_steady_state(cooling_params):
     # distance is (essentially) monotone decreasing for this relaxation
     d = [trace_distance(s, rep.rho_f) for s in traj.states[::200]]
     assert all(a >= b - 1e-12 for a, b in zip(d, d[1:]))
-
-
-def test_avg_transient_power(cooling_params):
-    traj = evolve(cooling_params, t_end=10.0)
-    assert avg_transient_power(traj) == pytest.approx(
-        traj.currents[-1] / traj.times[-1], rel=1e-12)
 
 
 def test_convergence_order_is_four(cooling_params):

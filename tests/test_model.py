@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from qfridge import (IDX_INNER, IDX_OUTER, CohSubspace, FridgeParams,
-                     PerturbativeRegimeWarning, build_hamiltonian,
-                     coherence_matrix, ground_pop, initial_state,
-                     interaction_hamiltonian, tensor, thermal_populations,
-                     thermal_qubit)
-from qfridge.model import thermal_product
+from qfridge import (CohSubspace, FridgeParams, PerturbativeRegimeWarning,
+                     initial_state)
+from qfridge.linalg import tensor
+from qfridge.model import (IDX_INNER, IDX_OUTER, build_hamiltonian,
+                           coherence_matrix, ground_pop,
+                           interaction_hamiltonian, thermal_populations,
+                           thermal_product, thermal_qubit)
 from conftest import random_params
 
 

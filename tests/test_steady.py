@@ -4,12 +4,12 @@ import pytest
 import dataclasses
 
 from qfridge import (FridgeParams, NoCouplingWarning, SingularRatesError,
-                     bias_delta, carnot_cop, gamma_amplitude, hs_norm,
-                     lambda_weight, omega_weights, reset_combos,
-                     steady_state, tensor, thermal_populations,
-                     thermal_qubit, trace_product)
+                     carnot_cop, steady_state)
 from qfridge.dynamics import liouvillian_apply, liouvillian_matrix
-from qfridge.linalg import null_space_1d
+from qfridge.linalg import hs_norm, null_space_1d, tensor, trace_product
+from qfridge.model import thermal_populations, thermal_qubit
+from qfridge.steady import (bias_delta, gamma_amplitude, lambda_weight,
+                            omega_weights, reset_combos)
 from conftest import random_params
 
 
