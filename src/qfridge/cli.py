@@ -1,6 +1,11 @@
 """Command-line front end: JSON config + flag parsing, command dispatch,
 CSV and human-readable output, and the executable verification suite.
 
+The argparse parser is the one registry of settings: a config file may
+hold exactly the invoked subcommand's flag names (plus 'grid' for sweep).
+Physics and integrator inputs are validated by the library; run() maps
+its refusals to exit codes.
+
 Exit codes: 0 ok, 2 config error, 3 computation error, 4 verification
 failure. Identical configs produce byte-identical CSV output.
 """
@@ -30,31 +35,15 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
 
-_PARAM_KEYS = ("Ec", "eta", "Tc", "Tr", "Th", "p", "pc", "pr", "ph",
-               "g", "kappa", "subspace")
-_COMMAND_KEYS = {
-    "steady": ("out",),
-    "evolve": ("out", "t_end", "dt", "store_every"),
-    "qsl": ("out",),
-    "sweep": ("out", "knob", "log", "lin", "grid", "outputs"),
-    "optimize": ("bracket",),
-    "verify": (),
-}
-_SUBSPACES = {"outer_diag": CohSubspace.OUTER_DIAG,
-              "inner_diag": CohSubspace.INNER_DIAG}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated command invocation."""
+    """One command invocation: its settings (the config file's values with
+    the given flags on top) and the inputs built from them."""
     command: str
+    settings: dict
     params: FridgeParams = None
-    out: str = None
-    t_end: float = None
-    dt: float = None
-    store_every: int = None
     sweep: SweepSpec = None
-    bracket: tuple = None
 
 
 # ----------------------------------------------------------------------
@@ -80,29 +69,31 @@ def _build_parser():
             ("kappa", "initial coherence strength in [0, 1]")):
         common.add_argument(f"--{key}", type=float, default=None,
                             help=help_text)
-    common.add_argument("--subspace", choices=sorted(_SUBSPACES),
+    common.add_argument("--subspace",
+                        choices=sorted(s.value for s in CohSubspace),
                         default=None, help="coherence subspace")
-    common.add_argument("--out", default=None, metavar="PATH",
-                        help="output CSV path (default: $%s/<command>.csv)"
-                             % OUTDIR_ENV)
+    writes_csv = argparse.ArgumentParser(add_help=False, parents=[common])
+    writes_csv.add_argument("--out", default=None, metavar="PATH",
+                            help="output CSV path (default: "
+                                 "$%s/<command>.csv)" % OUTDIR_ENV)
 
     parser = argparse.ArgumentParser(
         prog="qfridge",
         description="Three-qubit absorption refrigerator: steady states, "
                     "reset-model dynamics, speed-limit bounds, and sweeps.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("steady", parents=[common],
+    sub.add_parser("steady", parents=[writes_csv],
                    help="analytic steady state and cooling summary")
-    ev = sub.add_parser("evolve", parents=[common],
+    ev = sub.add_parser("evolve", parents=[writes_csv],
                         help="integrate the master equation, write "
                              "trajectory CSV")
     ev.add_argument("--t-end", dest="t_end", type=float, default=None)
     ev.add_argument("--dt", type=float, default=None)
     ev.add_argument("--store-every", dest="store_every", type=int,
                     default=None)
-    sub.add_parser("qsl", parents=[common],
+    sub.add_parser("qsl", parents=[writes_csv],
                    help="speed-limit time tau and chi = Q_c/tau")
-    sw = sub.add_parser("sweep", parents=[common],
+    sw = sub.add_parser("sweep", parents=[writes_csv],
                         help="sweep one knob, write sweep CSV")
     sw.add_argument("--knob", choices=("g", "p_equal", "eta", "kappa"),
                     default=None)
@@ -112,6 +103,7 @@ def _build_parser():
                     metavar=("LO", "HI", "N"), help="linear grid")
     sw.add_argument("--outputs", default=None,
                     help="comma-separated subset of CSV fields to emit")
+    sw.set_defaults(grid=None)   # config-file only: an explicit grid list
     op = sub.add_parser("optimize", parents=[common],
                         help="maximize chi over the efficiency")
     op.add_argument("--bracket", nargs=2, type=float, default=None,
@@ -121,64 +113,58 @@ def _build_parser():
     return parser
 
 
-def _load_config_file(path):
+_PARSER = _build_parser()
+
+
+def _settings(args):
+    """The config file's values with every given flag on top; the keys
+    allowed in the file are the subcommand's own parser dests."""
+    flags = vars(args)
+    command, path = flags.pop("command"), flags.pop("config")
+    settings = {}
+    if path:
+        try:
+            with open(path) as fh:
+                settings = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON in {path}: {exc}")
+        if not isinstance(settings, dict):
+            raise ConfigError("config file must hold a flat JSON object")
+        for key in settings:
+            if key not in flags:
+                raise ConfigError(
+                    f"unknown config key {key!r} for command {command!r}; "
+                    f"allowed: {sorted(flags)}")
+    settings.update((k, v) for k, v in flags.items() if v is not None)
+    return command, settings
+
+
+_PARAM_FIELDS = (("E_c", "Ec"), ("eta", "eta"), ("T_c", "Tc"),
+                 ("T_r", "Tr"), ("T_h", "Th"), ("p_c", "pc"),
+                 ("p_r", "pr"), ("p_h", "ph"), ("g", "g"))
+
+
+def _build_params(settings):
+    fields = {}
+    for field, key in _PARAM_FIELDS:
+        value = settings.get(key)
+        if value is None and key in ("pc", "pr", "ph"):
+            value, key = settings.get("p"), f"{key} (or the p shorthand)"
+        if value is None:
+            raise ConfigError(f"missing required parameter {key!r}")
+        fields[field] = value
+    kappa = settings.get("kappa")
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a flat JSON object")
-    return data
-
-
-def _merged(args, cfg, key):
-    """Flag value if given, else config file value, else None."""
-    flag = getattr(args, key, None)
-    return cfg.get(key) if flag is None else flag
-
-
-def _require(value, key):
-    if value is None:
-        raise ConfigError(f"missing required parameter {key!r}")
-    return value
-
-
-def _build_params(args, cfg):
-    rates = {}
-    shorthand = _merged(args, cfg, "p")
-    for name in ("pc", "pr", "ph"):
-        val = _merged(args, cfg, name)
-        rates[name] = shorthand if val is None else val
-    sub_name = _merged(args, cfg, "subspace")
-    if sub_name is not None and sub_name not in _SUBSPACES:
-        raise ConfigError(f"unknown subspace {sub_name!r}; allowed: "
-                          f"{sorted(_SUBSPACES)}")
-    kappa = _merged(args, cfg, "kappa")
-    try:
-        return FridgeParams(
-            E_c=_require(_merged(args, cfg, "Ec"), "Ec"),
-            eta=_require(_merged(args, cfg, "eta"), "eta"),
-            T_c=_require(_merged(args, cfg, "Tc"), "Tc"),
-            T_r=_require(_merged(args, cfg, "Tr"), "Tr"),
-            T_h=_require(_merged(args, cfg, "Th"), "Th"),
-            p_c=_require(rates["pc"], "pc (or the p shorthand)"),
-            p_r=_require(rates["pr"], "pr (or the p shorthand)"),
-            p_h=_require(rates["ph"], "ph (or the p shorthand)"),
-            g=_require(_merged(args, cfg, "g"), "g"),
-            kappa=0.0 if kappa is None else kappa,
-            coh_subspace=None if sub_name is None else _SUBSPACES[sub_name],
-        )
+        return FridgeParams(**fields, kappa=0.0 if kappa is None else kappa,
+                            coh_subspace=settings.get("subspace"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def _sweep_grid(args, cfg):
-    log = _merged(args, cfg, "log")
-    lin = _merged(args, cfg, "lin")
-    grid = cfg.get("grid")
+def _sweep_grid(settings):
+    log, lin, grid = (settings.get(k) for k in ("log", "lin", "grid"))
     given = [name for name, v in (("log", log), ("lin", lin),
                                   ("grid", grid)) if v is not None]
     if len(given) != 1:
@@ -200,63 +186,32 @@ def _sweep_grid(args, cfg):
 
 
 def parse_config(argv):
-    """Parse flags (+ optional JSON config) into a validated RunConfig."""
-    args = _build_parser().parse_args(argv)
-    command = args.command
-    cfg = _load_config_file(args.config) if args.config else {}
-    allowed = set(_PARAM_KEYS) | set(_COMMAND_KEYS[command])
-    for key in cfg:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown config key {key!r} for command {command!r}; "
-                f"allowed: {sorted(allowed)}")
-
+    """Parse flags (+ optional JSON config) into a RunConfig with its
+    parameters and sweep spec built."""
+    command, settings = _settings(_PARSER.parse_args(argv))
     if command == "verify":
-        return RunConfig(command=command)
-    if command == "sweep":
-        # the swept parameter itself may be omitted; seed the base value
-        # from the start of the grid (every grid point replaces it anyway)
-        knob = _merged(args, cfg, "knob")
-        if knob is None:
-            raise ConfigError("sweep requires --knob "
-                              "(g, p_equal, eta, or kappa)")
-        grid = _sweep_grid(args, cfg)
-        seed_key = {"g": "g", "p_equal": "p", "eta": "eta",
-                    "kappa": "kappa"}[knob]
-        if _merged(args, cfg, seed_key) is None:
-            cfg = dict(cfg)
-            cfg[seed_key] = grid[0]
-    params = _build_params(args, cfg)
-    out = _merged(args, cfg, "out")
-
-    if command == "evolve":
-        t_end = _merged(args, cfg, "t_end")
-        if t_end is not None and t_end <= 0:
-            raise ConfigError("t_end must be > 0")
-        dt = _merged(args, cfg, "dt")
-        if dt is not None and dt <= 0:
-            raise ConfigError("dt must be > 0")
-        store = _merged(args, cfg, "store_every")
-        if store is not None and (int(store) != store or store < 1):
-            raise ConfigError("store_every must be a positive integer")
-        return RunConfig(command=command, params=params, out=out,
-                         t_end=t_end, dt=dt,
-                         store_every=None if store is None else int(store))
-    if command == "sweep":
-        outputs = _merged(args, cfg, "outputs")
-        if isinstance(outputs, str):
-            outputs = tuple(s.strip() for s in outputs.split(",") if s.strip())
-        try:
-            spec = SweepSpec(base=params, knob=knob, grid=grid,
-                             outputs=None if not outputs else tuple(outputs))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        return RunConfig(command=command, params=params, out=out, sweep=spec)
-    if command == "optimize":
-        bracket = _merged(args, cfg, "bracket")
-        return RunConfig(command=command, params=params,
-                         bracket=None if bracket is None else tuple(bracket))
-    return RunConfig(command=command, params=params, out=out)
+        return RunConfig(command, settings)
+    if command != "sweep":
+        return RunConfig(command, settings, _build_params(settings))
+    # the swept parameter itself may be omitted; seed the base value
+    # from the start of the grid (every grid point replaces it anyway)
+    knob = settings.get("knob")
+    if knob is None:
+        raise ConfigError("sweep requires --knob (g, p_equal, eta, or kappa)")
+    grid = _sweep_grid(settings)
+    seed_key = {"p_equal": "p"}.get(knob, knob)   # SweepSpec checks knob
+    if settings.get(seed_key) is None:
+        settings[seed_key] = grid[0]
+    params = _build_params(settings)
+    outputs = settings.get("outputs")
+    if isinstance(outputs, str):
+        outputs = tuple(s.strip() for s in outputs.split(",") if s.strip())
+    try:
+        spec = SweepSpec(base=params, knob=knob, grid=grid,
+                         outputs=None if not outputs else tuple(outputs))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return RunConfig(command, settings, params, spec)
 
 
 # ----------------------------------------------------------------------
@@ -264,13 +219,23 @@ def parse_config(argv):
 # ----------------------------------------------------------------------
 
 def _out_path(config, default_name):
-    if config.out is not None:
-        return config.out
+    out = config.settings.get("out")
+    if out is not None:
+        return out
     return os.path.join(os.environ.get(OUTDIR_ENV, "."), default_name)
 
 
 def _fmt(x):
     return "%.17g" % x
+
+
+def _write_csv(config, default_name, header, rows):
+    path = _out_path(config, default_name)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+    print(f"wrote {path}")
 
 
 def _run_steady(config):
@@ -281,51 +246,39 @@ def _run_steady(config):
     print(f"eta          = {_fmt(srep.eta)}")
     print(f"eta_carnot   = {_fmt(srep.eta_carnot)}")
     print(f"is_fridge    = {srep.is_fridge}")
-    path = _out_path(config, "steady.csv")
-    with open(path, "w") as fh:
-        fh.write("delta,gamma,Q_c,eta,eta_carnot,is_fridge\n")
-        fh.write(",".join([_fmt(srep.delta), _fmt(srep.gamma),
-                           _fmt(srep.q_cool), _fmt(srep.eta),
-                           _fmt(srep.eta_carnot),
-                           "%d" % srep.is_fridge]) + "\n")
-    print(f"wrote {path}")
+    _write_csv(config, "steady.csv",
+               "delta,gamma,Q_c,eta,eta_carnot,is_fridge",
+               [[_fmt(srep.delta), _fmt(srep.gamma), _fmt(srep.q_cool),
+                 _fmt(srep.eta), _fmt(srep.eta_carnot),
+                 "%d" % srep.is_fridge]])
     return EXIT_OK
 
 
 def _run_qsl(config):
-    srep = steady_state(config.params)
-    rep = qsl_time(config.params, srep)
+    rep = qsl_time(config.params, steady_state(config.params))
     print(f"tau            = {_fmt(rep.tau)}")
     print(f"purity_gap     = {_fmt(rep.purity_gap)}")
     print(f"generator_norm = {_fmt(rep.generator_norm)}")
     print(f"chi            = {_fmt(rep.chi)}")
-    path = _out_path(config, "qsl.csv")
-    with open(path, "w") as fh:
-        fh.write("tau,purity_gap,generator_norm,chi\n")
-        fh.write(",".join([_fmt(rep.tau), _fmt(rep.purity_gap),
-                           _fmt(rep.generator_norm),
-                           _fmt(rep.chi)]) + "\n")
-    print(f"wrote {path}")
+    _write_csv(config, "qsl.csv", "tau,purity_gap,generator_norm,chi",
+               [[_fmt(rep.tau), _fmt(rep.purity_gap),
+                 _fmt(rep.generator_norm), _fmt(rep.chi)]])
     return EXIT_OK
 
 
 def _run_evolve(config):
     srep = steady_state(config.params)
-    traj = evolve(config.params, t_end=config.t_end, dt=config.dt,
-                  store_every=config.store_every)
-    path = _out_path(config, "trajectory.csv")
-    with open(path, "w") as fh:
-        fh.write("t,J_c,trace_dist_to_steady,avg_power\n")
-        for t, state, current in zip(traj.times, traj.states, traj.currents):
-            dist = trace_distance(state, srep.rho_f)
-            avg = current / t if t > 0 else 0.0
-            fh.write(",".join([_fmt(t), _fmt(current), _fmt(dist),
-                               _fmt(avg)]) + "\n")
-    final_dist = trace_distance(traj.states[-1], srep.rho_f)
+    s = config.settings
+    traj = evolve(config.params, t_end=s.get("t_end"), dt=s.get("dt"),
+                  store_every=s.get("store_every"))
+    dists = [trace_distance(state, srep.rho_f) for state in traj.states]
+    rows = [[_fmt(t), _fmt(current), _fmt(dist),
+             _fmt(current / t if t > 0 else 0.0)]
+            for t, current, dist in zip(traj.times, traj.currents, dists)]
     print(f"evolved to t = {_fmt(traj.times[-1])} in {len(traj)} stored "
-          f"samples; final trace distance to steady state "
-          f"{final_dist:.3e}")
-    print(f"wrote {path}")
+          f"samples; final trace distance to steady state {dists[-1]:.3e}")
+    _write_csv(config, "trajectory.csv",
+               "t,J_c,trace_dist_to_steady,avg_power", rows)
     return EXIT_OK
 
 
@@ -341,13 +294,14 @@ def _run_sweep(config):
 
 
 def _run_optimize(config):
-    opt = maximize_chi_over_eta(config.params, bracket=config.bracket)
-    eta_c = carnot_cop(config.params.T_c, config.params.T_r,
-                       config.params.T_h)
+    params = config.params
+    opt = maximize_chi_over_eta(params,
+                                bracket=config.settings.get("bracket"))
     print(f"eta_star   = {_fmt(opt.eta_star)}")
     print(f"chi_star   = {_fmt(opt.chi_star)}")
     print(f"method     = {opt.method}")
     print(f"f_value    = {_fmt(opt.f_value)}")
+    eta_c = carnot_cop(params.T_c, params.T_r, params.T_h)
     print(f"eta_carnot = {_fmt(eta_c)}")
     return EXIT_OK
 
@@ -365,12 +319,20 @@ _RUNNERS = {"steady": _run_steady, "evolve": _run_evolve, "qsl": _run_qsl,
 
 
 def run(config):
-    """Execute a validated RunConfig; returns the process exit code."""
+    """Execute a RunConfig; returns the process exit code.
+
+    A FridgeError or a numerical failure (numpy's LinAlgError) is a
+    computation error; any other ValueError is the library refusing an
+    input, a config error.
+    """
     try:
         return _RUNNERS[config.command](config)
-    except FridgeError as exc:
+    except (FridgeError, np.linalg.LinAlgError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def main(argv=None):

@@ -111,26 +111,29 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     rho0 defaults to the machine's initial state (thermal product plus the
     configured coherence); a rho0 that is not a finite 8x8 state (unit
     trace, Hermitian, positive within the drift thresholds) raises
-    ValueError. t_end defaults to 50/min(p_i); dt to default_dt(params),
-    its largest allowed value. Samples are stored every store_every steps
-    (default keeps about 4000 samples); the final state is always stored.
-    Trace, Hermiticity, and positivity drift are monitored at the stored
-    samples; exceeding the thresholds raises IntegrationError (usually:
-    reduce dt).
+    ValueError. t_end defaults to 50/min(p_i) and must be positive and
+    finite; dt defaults to default_dt(params), its largest allowed value,
+    and must be positive. Samples are stored every store_every steps, a
+    positive integer (default keeps about 4000 samples); the final state
+    is always stored. Trace, Hermiticity, and positivity drift are
+    checked at the stored samples; exceeding the thresholds raises
+    IntegrationError for the earliest failing sample (usually: reduce dt).
     """
     if rho0 is None:
         rho0 = initial_state(params)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (8, 8) or not np.all(np.isfinite(rho0)):
         raise ValueError("evolve: rho0 must be a finite 8x8 matrix")
-    _check_state(rho0)
+    _check_states(rho0[None])
     if t_end is None:
         t_end = default_t_end(params)
-    if not t_end > 0:
-        raise ValueError("evolve: t_end must be positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError("evolve: t_end must be positive and finite")
     dt_max = default_dt(params)
     if dt is None:
         dt = min(dt_max, t_end)
+    if not dt > 0:
+        raise ValueError("evolve: dt must be positive")
     if dt > dt_max * (1 + 1e-12):
         raise ValueError("evolve: dt exceeds the stability heuristic 0.05/max(E_r, q)")
 
@@ -138,6 +141,9 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     dt = t_end / n_steps   # land exactly on t_end
     if store_every is None:
         store_every = max(1, n_steps // 4000)
+    if not (store_every >= 1 and float(store_every).is_integer()):
+        raise ValueError("evolve: store_every must be a positive integer")
+    store_every = int(store_every)
 
     L = liouvillian_matrix(params)
     A = dt * L
@@ -147,41 +153,56 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
         term = term @ A / k
         R = R + term
 
-    times = [0.0]
-    states = [rho0.copy()]
-    v = rho0.ravel().copy()
+    steps = [0]
+    states = [rho0.ravel()]
+    v = states[0]
     for n in range(1, n_steps + 1):
         v = R @ v
         if n % store_every == 0 or n == n_steps:
-            rho = v.reshape(8, 8)
-            _check_state(rho, n * dt)
-            times.append(n * dt)
-            states.append(rho.copy())
-    states = np.array(states)
-    return Trajectory(np.array(times), states,
-                      heat_current_cold(params, states))
+            steps.append(n)
+            states.append(v)
+    times = np.array(steps) * dt
+    states = np.array(states).reshape(-1, 8, 8)
+    _check_states(states[1:], times[1:])
+    return Trajectory(times, states, heat_current_cold(params, states))
 
 
-def _check_state(rho, t=None):
-    """Check rho's trace, Hermiticity and positivity drift against the
-    thresholds: IntegrationError for the sample stored at time t,
-    ValueError for an initial state (t None)."""
-    if t is None:
+def _check_states(rhos, times=None):
+    """Check the trace, Hermiticity and positivity drift of a (n, 8, 8)
+    stack against the thresholds, raising for the earliest failing state
+    with its first failing check: IntegrationError for samples stored at
+    the given times, ValueError for an initial state (times None).
+
+    Slices of 64 states keep the temporaries small next to the stack.
+    """
+    for lo in range(0, len(rhos), 64):
+        chunk = rhos[lo:lo + 64]
+        tr = np.trace(chunk, axis1=1, axis2=2)
+        tr_drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
+        adj = chunk.conj().transpose(0, 2, 1)
+        herm = np.linalg.norm(chunk - adj, axis=(1, 2)) / 2.0
+        min_eig = np.linalg.eigvalsh(0.5 * (chunk + adj)).min(axis=1)
+        bad = np.flatnonzero((tr_drift > TRACE_DRIFT_TOL)
+                             | (herm > HERM_DRIFT_TOL)
+                             | (min_eig < MIN_EIG_TOL))
+        if bad.size:
+            break
+    else:
+        return
+    k = bad[0]
+    if times is None:
         error, where, hint = ValueError, "in rho0", ""
     else:
-        error, where, hint = IntegrationError, "at t=%.6g" % t, "; reduce dt"
-    tr_drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-    if tr_drift > TRACE_DRIFT_TOL:
+        error, where, hint = (IntegrationError, "at t=%.6g" % times[lo + k],
+                              "; reduce dt")
+    if tr_drift[k] > TRACE_DRIFT_TOL:
         raise error("trace drift %.3e %s exceeds %.0e%s"
-                    % (tr_drift, where, TRACE_DRIFT_TOL, hint))
-    herm = float(np.linalg.norm(rho - rho.conj().T)) / 2.0
-    if herm > HERM_DRIFT_TOL:
+                    % (tr_drift[k], where, TRACE_DRIFT_TOL, hint))
+    if herm[k] > HERM_DRIFT_TOL:
         raise error("Hermiticity drift %.3e %s exceeds %.0e%s"
-                    % (herm, where, HERM_DRIFT_TOL, hint))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if min_eig < MIN_EIG_TOL:
-        raise error("negative eigenvalue %.3e %s beyond %.0e%s"
-                    % (min_eig, where, MIN_EIG_TOL, hint))
+                    % (herm[k], where, HERM_DRIFT_TOL, hint))
+    raise error("negative eigenvalue %.3e %s beyond %.0e%s"
+                % (min_eig[k], where, MIN_EIG_TOL, hint))
 
 
 def convergence_time(traj, rho_target, eps=1e-3):

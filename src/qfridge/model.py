@@ -8,8 +8,9 @@ strength g couples |010> and |101>. Units: hbar = k_B = 1.
 """
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -41,6 +42,7 @@ class FridgeParams:
     eta is the design efficiency E_c/E_h; the remaining energies are derived
     as E_h = E_c/eta and E_r = E_c + E_h (energy-conserving interaction).
     kappa in [0, 1] scales the initial coherence amplitude on coh_subspace.
+    Every numeric field must be a finite real number.
     """
     E_c: float
     eta: float
@@ -55,6 +57,11 @@ class FridgeParams:
     coh_subspace: CohSubspace | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not (isinstance(value, numbers.Real)
+                                        and math.isfinite(value)):
+                raise ValueError("%s must be a finite number" % f.name)
         if not self.E_c > 0:
             raise ValueError("E_c must be positive")
         if not self.eta > 0:

@@ -14,6 +14,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FridgeError, PoleError, UndefinedChiError
 from .linalg import commutator, hs_norm, trace_product
 from .model import (build_hamiltonian, coherence_matrix,
@@ -76,10 +78,10 @@ def qsl_time(params, steady):
     near-coincident states). chi = Q_c/tau is NaN (with a
     trivial-evolution warning) when the initial state is stationary.
     """
-    r = thermal_populations(params)
-    rho_diag = thermal_product(r)
-    mu = coherence_matrix(params, r)
-    norm = hs_norm(liouvillian_apply(params, initial_state(params)))
+    rho0 = initial_state(params)
+    rho_diag = np.diag(np.diag(rho0))
+    mu = rho0 - rho_diag
+    norm = hs_norm(liouvillian_apply(params, rho0))
     trs = float(trace_product(rho_diag, steady.sigma).real)
     gap = abs(steady.gamma * trs - float(trace_product(mu, mu).real))
     if norm == 0.0:

@@ -50,12 +50,47 @@ def test_unknown_config_key_rejected(tmp_path):
         parse_config(["steady", "--config", str(path)])
 
 
-def test_command_scoped_key_rejected(tmp_path):
-    # 'knob' belongs to sweep, not steady
+@pytest.mark.parametrize("command, key", [
+    ("steady", "knob"),      # 'knob' belongs to sweep, not steady
+    ("optimize", "out"),     # optimize and verify write no CSV
+    ("verify", "out"),
+    ("steady", "grid"),
+    ("evolve", "bracket"),
+])
+def test_command_scoped_key_rejected(tmp_path, command, key):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"knob": "g"}))
-    with pytest.raises(ConfigError, match="knob"):
-        parse_config(["steady", "--config", str(path)])
+    path.write_text(json.dumps({key: 1}))
+    with pytest.raises(ConfigError, match=key):
+        parse_config([command, "--config", str(path)])
+
+
+_PARAM_KEYS = {"Ec", "eta", "Tc", "Tr", "Th", "p", "pc", "pr", "ph", "g",
+               "kappa", "subspace"}
+
+
+@pytest.mark.parametrize("command, own_keys", [
+    ("steady", {"out"}),
+    ("evolve", {"out", "t_end", "dt", "store_every"}),
+    ("qsl", {"out"}),
+    ("sweep", {"out", "knob", "log", "lin", "grid", "outputs"}),
+    ("optimize", {"bracket"}),
+    ("verify", set()),
+])
+def test_config_keys_are_the_subcommand_flags(tmp_path, command, own_keys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"bogus": 1}))
+    with pytest.raises(ConfigError) as info:
+        parse_config([command, "--config", str(path)])
+    listed = str(info.value).split("allowed: ")[1]
+    assert listed == str(sorted(_PARAM_KEYS | own_keys))
+
+
+@pytest.mark.parametrize("command", ["optimize", "verify"])
+def test_out_flag_only_where_a_csv_is_written(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--out", "x.csv"])
+    assert info.value.code == EXIT_CONFIG
+    assert "--out" in capsys.readouterr().err
 
 
 def test_malformed_config_file(tmp_path):
@@ -84,6 +119,13 @@ def test_sweep_grid_sources():
                       "--lin", "0.01", "0.03", "3"] + FIG2)
     with pytest.raises(ConfigError):   # no grid at all
         parse_config(["sweep", "--knob", "g"] + FIG2)
+
+
+def test_unknown_sweep_knob_in_config_file(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"knob": "bogus", "grid": [0.01, 0.02]}))
+    with pytest.raises(ConfigError, match="bogus"):
+        parse_config(["sweep", "--config", str(path)] + FIG2)
 
 
 def test_sweep_seeds_swept_parameter():
@@ -145,6 +187,20 @@ def test_config_error_exit_code(capsys):
     code = main(["steady", "--Ec", "1"])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady"] + FIG2 + ["--g", "0"],
+    ["qsl"] + FIG2 + ["--p", "0"],
+    ["optimize"] + FIG2 + ["--bracket", "0.3", "0.1"],
+    ["evolve"] + FIG2 + ["--dt", "5"],
+], ids=["steady-g0", "qsl-p0", "optimize-bracket", "evolve-dt"])
+def test_library_refusal_is_a_config_error(argv, tmp_path, monkeypatch,
+                                           capsys):
+    monkeypatch.setenv("QFRIDGE_OUTDIR", str(tmp_path))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_compute_error_exit_code(capsys):

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfridge import CohSubspace, steady_state, trace_distance
-from qfridge.dynamics import (convergence_time, default_dt, default_t_end,
-                              evolve, heat_current_cold, liouvillian_apply,
-                              liouvillian_matrix)
+from qfridge import (CohSubspace, IntegrationError, steady_state,
+                     trace_distance)
+from qfridge.dynamics import (_check_states, convergence_time, default_dt,
+                              default_t_end, evolve, heat_current_cold,
+                              liouvillian_apply, liouvillian_matrix)
 from qfridge.linalg import partial_trace, tensor
 from qfridge.model import thermal_populations, thermal_qubit
 from conftest import random_params
@@ -104,6 +105,29 @@ def test_evolve_rejects_oversized_step(cooling_params):
         evolve(cooling_params, t_end=1.0, dt=10.0)
 
 
+@pytest.mark.parametrize("grid, message", [
+    (dict(t_end=np.inf), "t_end must be positive and finite"),
+    (dict(dt=-1.0), "dt must be positive"),   # was one step of length 1
+    (dict(dt=0.0), "dt must be positive"),
+    (dict(dt=np.nan), "dt must be positive"),
+    (dict(store_every=0), "store_every must be a positive integer"),
+    (dict(store_every=-3), "store_every must be a positive integer"),
+    (dict(store_every=2.5), "store_every must be a positive integer"),
+    (dict(store_every=np.nan), "store_every must be a positive integer"),
+], ids=["t_end=inf", "dt=-1", "dt=0", "dt=nan", "store_every=0",
+        "store_every=-3", "store_every=2.5", "store_every=nan"])
+def test_evolve_rejects_a_bad_time_grid(cooling_params, grid, message):
+    with pytest.raises(ValueError, match=message):
+        evolve(cooling_params, **{"t_end": 1.0, **grid})
+
+
+def test_evolve_accepts_an_integral_float_store_every(cooling_params):
+    a = evolve(cooling_params, t_end=1.0, store_every=2.0)
+    b = evolve(cooling_params, t_end=1.0, store_every=2)
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.states, b.states)
+
+
 _E00 = np.diag([1.0, 0, 0, 0, 0, 0, 0, 0])
 
 
@@ -125,6 +149,23 @@ def test_evolve_accepts_a_state_at_the_drift_thresholds(cooling_params):
     rho0 = steady_state(cooling_params).rho_f * (1 + 5e-10)
     traj = evolve(cooling_params, rho0=rho0, t_end=1.0)
     assert np.array_equal(traj.states[0], rho0)
+
+
+def test_state_check_names_the_earliest_failing_sample():
+    not_positive = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+    also_not_hermitian = not_positive + 0.1j * np.eye(8, k=1)
+    times = np.array([1.0, 2.0, 3.0])
+    # the third sample fails the trace check, which comes first per sample
+    for second, message in ((not_positive, "negative eigenvalue"),
+                            (also_not_hermitian, "Hermiticity drift")):
+        stack = np.array([_E00, second, 2 * _E00])
+        with pytest.raises(IntegrationError,
+                           match=message + r" \S+ at t=2 .*reduce dt"):
+            _check_states(stack, times)
+    _check_states(np.array([_E00, _E00]), times[:2])   # all pass
+    stack = np.array([_E00] * 70 + [not_positive])   # past the first slice
+    with pytest.raises(IntegrationError, match="eigenvalue .* at t=70 "):
+        _check_states(stack, np.arange(71.0))
 
 
 def test_trajectory_endpoints_and_monotonicity(cooling_params):

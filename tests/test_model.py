@@ -29,9 +29,12 @@ def _base(**kw):
     dict(p_r=-0.1),
     dict(g=-0.01),
     dict(kappa=-0.1), dict(kappa=1.5),
+    # non-finite values
+    dict(p_c=np.nan), dict(p_r=np.nan), dict(p_h=np.nan), dict(g=np.nan),
+    dict(E_c=np.inf), dict(T_h=np.inf), dict(E_c="1"),
 ])
 def test_invalid_params_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(bad))):
         _base(**bad)
 
 
