@@ -2,7 +2,8 @@
 CSV and human-readable output, and the executable verification suite.
 
 The argparse parser is the one registry of settings: a config file may
-hold exactly the invoked subcommand's flag names (plus 'grid' for sweep).
+hold exactly the invoked subcommand's flag names (plus 'grid' for sweep),
+with values of the types those flags parse to.
 Physics and integrator inputs are validated by the library; run() maps
 its refusals to exit codes.
 
@@ -110,15 +111,43 @@ def _build_parser():
                     metavar=("LO", "HI"))
     sub.add_parser("verify", parents=[common],
                    help="run the acceptance/invariant suite")
-    return parser
+    actions = {name: {a.dest: a for a in p._actions}
+               for name, p in sub.choices.items()}
+    return parser, actions
 
 
-_PARSER = _build_parser()
+# the parser and, per subcommand, its actions by dest
+_PARSER, _ACTIONS = _build_parser()
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_file_value(key, value, action):
+    """A config-file value must be what its flag would parse to: a JSON
+    number for a numeric flag, a list of nargs numbers for a multi-value
+    one. 'grid' has no flag; it must be a non-empty list of numbers."""
+    if action is None:
+        want = "a non-empty list of numbers"
+        ok = isinstance(value, list) and value and all(map(_is_number, value))
+    elif action.type not in (int, float):
+        return
+    elif action.nargs is None:
+        want, ok = "a number", _is_number(value)
+    else:
+        want = f"a list of {action.nargs} numbers"
+        ok = (isinstance(value, list) and len(value) == action.nargs
+              and all(map(_is_number, value)))
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {want}, "
+                          f"got {value!r}")
 
 
 def _settings(args):
     """The config file's values with every given flag on top; the keys
-    allowed in the file are the subcommand's own parser dests."""
+    allowed in the file are the subcommand's own parser dests, and their
+    values must have the types the flags parse to."""
     flags = vars(args)
     command, path = flags.pop("command"), flags.pop("config")
     settings = {}
@@ -137,6 +166,9 @@ def _settings(args):
                 raise ConfigError(
                     f"unknown config key {key!r} for command {command!r}; "
                     f"allowed: {sorted(flags)}")
+            if settings[key] is not None:
+                _check_file_value(key, settings[key],
+                                  _ACTIONS[command].get(key))
     settings.update((k, v) for k, v in flags.items() if v is not None)
     return command, settings
 
@@ -271,7 +303,7 @@ def _run_evolve(config):
     s = config.settings
     traj = evolve(config.params, t_end=s.get("t_end"), dt=s.get("dt"),
                   store_every=s.get("store_every"))
-    dists = [trace_distance(state, srep.rho_f) for state in traj.states]
+    dists = trace_distance(traj.states, srep.rho_f)
     rows = [[_fmt(t), _fmt(current), _fmt(dist),
              _fmt(current / t if t > 0 else 0.0)]
             for t, current, dist in zip(traj.times, traj.currents, dists)]
@@ -323,7 +355,8 @@ def run(config):
 
     A FridgeError or a numerical failure (numpy's LinAlgError) is a
     computation error; any other ValueError is the library refusing an
-    input, a config error.
+    input, a config error, and so is an output file that cannot be
+    written (an OSError: the runners do no other I/O).
     """
     try:
         return _RUNNERS[config.command](config)
@@ -332,6 +365,9 @@ def run(config):
         return EXIT_COMPUTE
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

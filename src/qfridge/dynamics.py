@@ -9,9 +9,12 @@ Taylor polynomial of the step propagator,
 
     R(dt) = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24,
 
-applied to vec(rho). evolve() therefore precomputes R once and advances the
-64-vector with a single matvec per step; a unit test pins this to the
-textbook k1..k4 step built from liouvillian_apply to ~1e-15.
+applied to vec(rho). evolve() therefore precomputes R once, and from it
+P = R^store_every (about 2 log2(store_every) 64x64 products), and advances
+the 64-vector with a single matvec per stored sample; a grid whose step
+count is not a multiple of store_every ends with one R^remainder. A unit
+test pins R to the textbook k1..k4 step built from liouvillian_apply to
+~1e-15, and the stored samples to a step-by-step loop of it.
 """
 
 from dataclasses import dataclass
@@ -35,11 +38,16 @@ class Trajectory:
 
     times are strictly increasing and include t = 0 and t_end; states are
     the 8x8 density matrices at those times; currents the cold-bath heat
-    current J_c at those times.
+    current J_c at those times. The last three fields are the worst drift
+    over the stored states, which the run's checks bound by TRACE_DRIFT_TOL,
+    HERM_DRIFT_TOL and MIN_EIG_TOL: how close the run came to failing.
     """
     times: np.ndarray
     states: np.ndarray
     currents: np.ndarray
+    max_trace_drift: float
+    max_herm_drift: float
+    min_eig: float
 
     def __len__(self):
         return len(self.times)
@@ -115,9 +123,11 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     finite; dt defaults to default_dt(params), its largest allowed value,
     and must be positive. Samples are stored every store_every steps, a
     positive integer (default keeps about 4000 samples); the final state
-    is always stored. Trace, Hermiticity, and positivity drift are
-    checked at the stored samples; exceeding the thresholds raises
-    IntegrationError for the earliest failing sample (usually: reduce dt).
+    is always stored. Each stored sample costs one matvec with the
+    precomputed R^store_every. Trace, Hermiticity, and positivity drift
+    are checked at the stored samples; exceeding the thresholds raises
+    IntegrationError for the earliest failing sample (usually: reduce dt),
+    and the Trajectory reports the worst drift otherwise.
     """
     if rho0 is None:
         rho0 = initial_state(params)
@@ -153,18 +163,22 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
         term = term @ A / k
         R = R + term
 
-    steps = [0]
-    states = [rho0.ravel()]
-    v = states[0]
-    for n in range(1, n_steps + 1):
-        v = R @ v
-        if n % store_every == 0 or n == n_steps:
-            steps.append(n)
-            states.append(v)
-    times = np.array(steps) * dt
-    states = np.array(states).reshape(-1, 8, 8)
-    _check_states(states[1:], times[1:])
-    return Trajectory(times, states, heat_current_cold(params, states))
+    n_full, rest = divmod(n_steps, store_every)
+    steps = np.arange(n_full + 1) * store_every
+    if rest:
+        steps = np.append(steps, n_steps)
+    states = np.empty((len(steps), 64), dtype=complex)
+    states[0] = rho0.ravel()
+    P = np.linalg.matrix_power(R, store_every)
+    for n in range(1, n_full + 1):
+        np.matmul(P, states[n - 1], out=states[n])
+    if rest:
+        states[-1] = np.linalg.matrix_power(R, rest) @ states[-2]
+    times = steps * dt
+    states = states.reshape(-1, 8, 8)
+    drift = _check_states(states, times)
+    return Trajectory(times, states, heat_current_cold(params, states),
+                      *drift)
 
 
 def _check_states(rhos, times=None):
@@ -172,9 +186,12 @@ def _check_states(rhos, times=None):
     stack against the thresholds, raising for the earliest failing state
     with its first failing check: IntegrationError for samples stored at
     the given times, ValueError for an initial state (times None).
+    Returns the largest trace and Hermiticity drift and the smallest
+    eigenvalue over the stack.
 
     Slices of 64 states keep the temporaries small next to the stack.
     """
+    worst = []
     for lo in range(0, len(rhos), 64):
         chunk = rhos[lo:lo + 64]
         tr = np.trace(chunk, axis1=1, axis2=2)
@@ -187,8 +204,10 @@ def _check_states(rhos, times=None):
                              | (min_eig < MIN_EIG_TOL))
         if bad.size:
             break
+        worst.append((tr_drift.max(), herm.max(), min_eig.min()))
     else:
-        return
+        tr_drift, herm, min_eig = np.array(worst).T
+        return float(tr_drift.max()), float(herm.max()), float(min_eig.min())
     k = bad[0]
     if times is None:
         error, where, hint = ValueError, "in rho0", ""
@@ -210,8 +229,6 @@ def convergence_time(traj, rho_target, eps=1e-3):
 
     Returns None when the trajectory never gets that close.
     """
-    for t, rho in zip(traj.times, traj.states):
-        if trace_distance(rho, rho_target) <= eps:
-            return float(t)
-    return None
+    hits = np.flatnonzero(trace_distance(traj.states, rho_target) <= eps)
+    return float(traj.times[hits[0]]) if hits.size else None
 

@@ -2,8 +2,8 @@
 
 Everything here is plain numpy on small dense arrays: tensor products,
 partial traces and their inverse slot embedding, commutators,
-Hilbert-Schmidt norms, trace products, and an SVD-based null-space solver
-for the 64x64 vectorized generator.
+Hilbert-Schmidt norms, trace products, trace distances, and an SVD-based
+null-space solver for the 64x64 vectorized generator.
 
 Basis convention (inherited by every other module): the computational basis
 of the three qubits (c, r, h) is ordered with c most significant, so the
@@ -110,9 +110,15 @@ def trace_product(A, B):
 
 
 def trace_distance(A, B):
-    """Trace distance (1/2)||A - B||_1 between two Hermitian matrices."""
+    """Trace distance (1/2)||A - B||_1 between two Hermitian matrices.
+
+    Either argument may be a stack (..., n, n); the stacks broadcast and
+    the result is the array of distances, one eigvalsh over the stack.
+    Two single matrices give a float.
+    """
     ev = np.linalg.eigvalsh(np.asarray(A) - np.asarray(B))
-    return 0.5 * float(np.abs(ev).sum())
+    dist = 0.5 * np.abs(ev).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 # ----------------------------------------------------------------------

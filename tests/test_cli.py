@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qfridge import ConfigError
+from qfridge import ConfigError, evolve, steady_state, trace_distance
 from qfridge.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY,
                          main, parse_config)
 from qfridge.verify import CheckResult
@@ -100,6 +100,38 @@ def test_malformed_config_file(tmp_path):
         parse_config(["steady", "--config", str(path)])
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("evolve", "t_end", "5"),
+    ("evolve", "store_every", "3"),
+    ("evolve", "dt", True),
+    ("steady", "g", True),
+    ("sweep", "grid", ["a"]),
+    ("sweep", "grid", "0.1"),
+    ("sweep", "grid", []),
+    ("sweep", "log", [1e-3, "x", 5]),
+    ("sweep", "lin", [0.01, 0.03]),
+    ("optimize", "bracket", ["a", "b"]),
+    ("optimize", "bracket", 0.3),
+], ids=["t_end-str", "store_every-str", "dt-bool", "g-bool", "grid-str-item",
+        "grid-str", "grid-empty", "log-str-item", "lin-short",
+        "bracket-str-items", "bracket-scalar"])
+def test_config_value_of_the_wrong_type(tmp_path, capsys, command, key,
+                                        value):
+    # the file's value must be what the flag would parse to
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    argv = [command, "--config", str(path)]
+    argv += FIG2[:-2] if key == "g" else FIG2   # the file supplies g
+    if command != "optimize":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    if command == "sweep":
+        argv += ["--knob", "g"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key {key!r} must be ")
+    assert err.count("\n") == 1
+
+
 def test_physics_validation_becomes_config_error():
     argv = ["steady", "--Ec", "1", "--eta", "0.5", "--Tc", "5", "--Tr", "2",
             "--Th", "10", "--p", "0.05", "--g", "0.05"]   # T_c > T_r
@@ -173,6 +205,34 @@ def test_trajectory_csv_schema(tmp_path):
     assert float(first[3]) == 0.0    # average power defined as 0 at t = 0
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(5.0)
+
+
+def test_trajectory_csv_distances_are_per_state(tmp_path):
+    out = tmp_path / "traj.csv"
+    argv = ["evolve"] + FIG2 + ["--t-end", "5", "--store-every", "7",
+                                "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    params = parse_config(argv).params
+    traj = evolve(params, t_end=5.0, store_every=7)
+    rho_f = steady_state(params).rho_f
+    column = [float(line.split(",")[2])
+              for line in out.read_text().splitlines()[1:]]
+    assert column == [trace_distance(state, rho_f) for state in traj.states]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("steady", []),
+    ("qsl", []),
+    ("evolve", ["--t-end", "1"]),
+    ("sweep", ["--knob", "g", "--log", "1e-3", "1e-1", "3"]),
+])
+def test_unwritable_out_path_is_a_config_error(tmp_path, capsys, command,
+                                               extra):
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command] + FIG2 + extra + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert str(out) in err and err.count("\n") == 1
 
 
 def test_identical_configs_are_byte_identical(tmp_path):

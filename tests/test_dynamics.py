@@ -5,11 +5,12 @@ import pytest
 
 from qfridge import (CohSubspace, IntegrationError, steady_state,
                      trace_distance)
-from qfridge.dynamics import (_check_states, convergence_time, default_dt,
+from qfridge.dynamics import (HERM_DRIFT_TOL, MIN_EIG_TOL, TRACE_DRIFT_TOL,
+                              _check_states, convergence_time, default_dt,
                               default_t_end, evolve, heat_current_cold,
                               liouvillian_apply, liouvillian_matrix)
 from qfridge.linalg import partial_trace, tensor
-from qfridge.model import thermal_populations, thermal_qubit
+from qfridge.model import initial_state, thermal_populations, thermal_qubit
 from conftest import random_params
 
 
@@ -91,6 +92,45 @@ def test_one_step_matches_textbook_rk4(cooling_params, rng):
     traj = evolve(cooling_params, rho0=rho, t_end=dt, dt=dt)
     ref = rk4_step_reference(cooling_params, rho, dt)
     assert np.abs(traj.states[-1] - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("t_end, store_every", [
+    (0.5, 1),    # 50 steps, each one stored
+    (0.7, 7),    # 70 steps, a multiple of store_every
+    (0.5, 7),    # 50 = 7 * 7 + 1 steps: the last sample takes R^1
+    (0.05, 7),   # 5 steps, fewer than store_every: only R^5
+], ids=["every-step", "multiple", "remainder", "short"])
+def test_stored_samples_match_a_step_by_step_loop(coherent_params, t_end,
+                                                  store_every):
+    traj = evolve(coherent_params, t_end=t_end, dt=0.01,
+                  store_every=store_every)
+    n_steps = round(t_end / 0.01)
+    dt = t_end / n_steps
+    steps = sorted(set(range(0, n_steps + 1, store_every)) | {n_steps})
+    assert np.array_equal(traj.times, np.array(steps) * dt)
+    assert traj.times[-1] == pytest.approx(t_end, rel=1e-15, abs=0)
+    rho = initial_state(coherent_params)
+    expected = [rho]
+    for n in range(1, n_steps + 1):
+        rho = rk4_step_reference(coherent_params, rho, dt)
+        if n in steps:
+            expected.append(rho)
+    assert np.abs(traj.states - np.array(expected)).max() <= 1e-13
+
+
+def test_trajectory_reports_its_worst_drift(cooling_params):
+    traj = evolve(cooling_params)
+    tr = np.trace(traj.states, axis1=1, axis2=2)
+    adj = traj.states.conj().transpose(0, 2, 1)
+    assert traj.max_trace_drift == np.max(np.abs(tr.real - 1.0)
+                                          + np.abs(tr.imag))
+    assert traj.max_herm_drift == np.max(
+        np.linalg.norm(traj.states - adj, axis=(1, 2)) / 2.0)
+    assert traj.min_eig == np.linalg.eigvalsh(
+        0.5 * (traj.states + adj)).min()
+    assert 0.0 <= traj.max_trace_drift <= TRACE_DRIFT_TOL
+    assert 0.0 <= traj.max_herm_drift <= HERM_DRIFT_TOL
+    assert MIN_EIG_TOL <= traj.min_eig < 1.0
 
 
 def test_defaults(cooling_params):

@@ -149,6 +149,18 @@ def test_trace_distance_basic_properties(rng):
     assert 0.0 <= trace_distance(rho, sig) <= 1.0 + 1e-12
 
 
+def test_trace_distance_on_a_stack_is_per_matrix(rng):
+    stack = np.array([_random_density(rng, 8) for _ in range(70)])
+    sig = _random_density(rng, 8)
+    dists = trace_distance(stack, sig)
+    assert dists.shape == (70,)
+    assert all(dists[k] == trace_distance(stack[k], sig) for k in range(70))
+    pairs = trace_distance(stack, stack[::-1])   # both sides stacked
+    assert all(pairs[k] == trace_distance(stack[k], stack[69 - k])
+               for k in range(70))
+    assert isinstance(trace_distance(stack[0], sig), float)
+
+
 def test_trace_distance_orthogonal_pure_states():
     e0 = np.zeros((8, 8)); e0[0, 0] = 1.0
     e7 = np.zeros((8, 8)); e7[7, 7] = 1.0
