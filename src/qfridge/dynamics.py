@@ -17,6 +17,7 @@ test pins R to the textbook k1..k4 step built from liouvillian_apply to
 ~1e-15, and the stored samples to a step-by-step loop of it.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,9 @@ from .model import (build_hamiltonian, initial_state, thermal_populations,
 TRACE_DRIFT_TOL = 1e-9
 HERM_DRIFT_TOL = 1e-10
 MIN_EIG_TOL = -1e-8
+
+# bytes per stored sample: a complex 8x8 state and its time
+SAMPLE_BYTES = 64 * 16 + 8
 
 
 @dataclass
@@ -123,11 +127,15 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     finite; dt defaults to default_dt(params), its largest allowed value,
     and must be positive. Samples are stored every store_every steps, a
     positive integer (default keeps about 4000 samples); the final state
-    is always stored. Each stored sample costs one matvec with the
-    precomputed R^store_every. Trace, Hermiticity, and positivity drift
-    are checked at the stored samples; exceeding the thresholds raises
-    IntegrationError for the earliest failing sample (usually: reduce dt),
-    and the Trajectory reports the worst drift otherwise.
+    is always stored, at exactly t_end. A stored stack larger than the
+    machine's physical memory raises ValueError before any allocation.
+    Each stored sample costs one matvec with the precomputed
+    R^store_every. Trace, Hermiticity, and positivity drift are checked
+    at the stored samples; exceeding the thresholds raises
+    IntegrationError for the earliest failing sample, naming the remedy:
+    fewer, larger steps for trace or Hermiticity drift (round-off, as R
+    preserves both exactly), a smaller dt for a negative eigenvalue. The
+    Trajectory reports the worst drift otherwise.
     """
     if rho0 is None:
         rho0 = initial_state(params)
@@ -164,6 +172,12 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
         R = R + term
 
     n_full, rest = divmod(n_steps, store_every)
+    n_samples = n_full + 1 + bool(rest)
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_samples * SAMPLE_BYTES > phys:
+        raise ValueError("evolve: %d stored samples (store_every=%d) need "
+                         "more than the machine's %.3g GB of memory"
+                         % (n_samples, store_every, phys / 1e9))
     steps = np.arange(n_full + 1) * store_every
     if rest:
         steps = np.append(steps, n_steps)
@@ -175,6 +189,7 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     if rest:
         states[-1] = np.linalg.matrix_power(R, rest) @ states[-2]
     times = steps * dt
+    times[-1] = t_end
     states = states.reshape(-1, 8, 8)
     drift = _check_states(states, times)
     return Trajectory(times, states, heat_current_cold(params, states),
@@ -210,18 +225,20 @@ def _check_states(rhos, times=None):
         return float(tr_drift.max()), float(herm.max()), float(min_eig.min())
     k = bad[0]
     if times is None:
-        error, where, hint = ValueError, "in rho0", ""
+        error, where, roundoff, truncation = ValueError, "in rho0", "", ""
     else:
-        error, where, hint = (IntegrationError, "at t=%.6g" % times[lo + k],
-                              "; reduce dt")
+        error, where = IntegrationError, "at t=%.6g" % times[lo + k]
+        roundoff = ("; R preserves it exactly, so this is round-off piled "
+                    "up over many steps: use fewer, larger steps")
+        truncation = "; reduce dt"
     if tr_drift[k] > TRACE_DRIFT_TOL:
         raise error("trace drift %.3e %s exceeds %.0e%s"
-                    % (tr_drift[k], where, TRACE_DRIFT_TOL, hint))
+                    % (tr_drift[k], where, TRACE_DRIFT_TOL, roundoff))
     if herm[k] > HERM_DRIFT_TOL:
         raise error("Hermiticity drift %.3e %s exceeds %.0e%s"
-                    % (herm[k], where, HERM_DRIFT_TOL, hint))
+                    % (herm[k], where, HERM_DRIFT_TOL, roundoff))
     raise error("negative eigenvalue %.3e %s beyond %.0e%s"
-                % (min_eig[k], where, MIN_EIG_TOL, hint))
+                % (min_eig[k], where, MIN_EIG_TOL, truncation))
 
 
 def convergence_time(traj, rho_target, eps=1e-3):

@@ -26,7 +26,9 @@ class DegenerateKernelError(FridgeError):
 
 class IntegrationError(FridgeError):
     """Trajectory invariants (trace / Hermiticity / positivity drift)
-    exceeded their thresholds; usually means the step size is too large."""
+    exceeded their thresholds. A negative eigenvalue means the step is too
+    large; trace or Hermiticity drift is round-off piled up over very many
+    steps, since the step propagator preserves both exactly."""
 
 
 class UndefinedChiError(FridgeError):

@@ -1,9 +1,9 @@
 """Dense complex matrix kernel for three-qubit (dimension 8) objects.
 
 Everything here is plain numpy on small dense arrays: tensor products,
-partial traces and their inverse slot embedding, commutators,
-Hilbert-Schmidt norms, trace products, trace distances, and an SVD-based
-null-space solver for the 64x64 vectorized generator.
+partial traces and their inverse slot embedding, trace products, trace
+distances, and an SVD-based null-space solver for the 64x64 vectorized
+generator.
 
 Basis convention (inherited by every other module): the computational basis
 of the three qubits (c, r, h) is ordered with c most significant, so the
@@ -17,8 +17,6 @@ from .errors import DegenerateKernelError
 # index of each subsystem in the (c, r, h) ordering
 SUBSYSTEMS = {"c": 0, "r": 1, "h": 2}
 
-_MAX_DIM = 64
-
 
 # ----------------------------------------------------------------------
 # products and traces
@@ -30,14 +28,6 @@ def tensor(A, B):
     Consistent with the k = 4c + 2r + h index convention:
     tensor(X_c, tensor(X_r, X_h)) puts X_c on the most significant qubit.
     """
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("tensor: left operand must be square")
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("tensor: right operand must be square")
-    if A.shape[0] * B.shape[0] > _MAX_DIM:
-        raise ValueError("tensor: result dimension exceeds %d" % _MAX_DIM)
     return np.kron(A, B)
 
 
@@ -78,25 +68,6 @@ def embed(op, rest, which):
     out = np.einsum("..." + spec + "->...abcdef", op,
                     rest.reshape(rest.shape[:-2] + (2,) * 4))
     return out.reshape(out.shape[:-6] + (8, 8))
-
-
-def commutator(A, B):
-    """[A, B] = AB - BA."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError("commutator: dimension mismatch")
-    return A @ B - B @ A
-
-
-def hs_norm(A):
-    """Hilbert-Schmidt (Frobenius) norm sqrt(tr(A^dag A)).
-
-    For anti-Hermitian A this equals sqrt(-tr(A^2)); the norm reading keeps
-    the generator-norm well defined when the argument is a mix of Hermitian
-    and anti-Hermitian parts.
-    """
-    return float(np.linalg.norm(np.asarray(A)))
 
 
 def trace_product(A, B):

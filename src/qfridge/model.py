@@ -15,8 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import tensor
-
 IDX_INNER = (2, 5)   # |010>, |101>  (k = 4c + 2r + h)
 IDX_OUTER = (0, 7)   # |000>, |111>
 
@@ -158,10 +156,20 @@ def thermal_qubit(r):
     return np.diag([r, 1.0 - r]).astype(complex)
 
 
+def thermal_factors(r):
+    """The diagonals (r_i, 1 - r_i) of tau_c, tau_r, tau_h on the axes 0, 1,
+    2 of a (2, 2, 2) grid whose flat index is k = 4c + 2r + h: broadcast
+    products of them are diagonals of product operators, e.g. tc * (tr * th)
+    that of tau_c (x) tau_r (x) tau_h, equal to the Kronecker product.
+    """
+    return tuple(np.reshape([x, 1.0 - x], shape) for x, shape in
+                 zip((r.r_c, r.r_r, r.r_h), ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
+
+
 def thermal_product(r):
     """The thermal product state tau_c (x) tau_r (x) tau_h, 8x8 diagonal."""
-    return tensor(thermal_qubit(r.r_c),
-                  tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    tc, tr, th = thermal_factors(r)
+    return np.diag((tc * (tr * th)).ravel()).astype(complex)
 
 
 def build_hamiltonian(params):
@@ -183,24 +191,27 @@ def interaction_hamiltonian(params):
     return H - np.diag(np.diag(H))
 
 
-def coherence_matrix(params, r=None):
-    """The initial off-diagonal injection mu (zero matrix when kappa = 0).
+def coherence_amplitude(params, r=None):
+    """The real amplitude a = kappa * sqrt(prod_i r_i rbar_i) of the initial
+    coherence (0.0 when kappa = 0).
 
-    mu places the real amplitude kappa * sqrt(prod_i r_i rbar_i) on the
-    chosen subspace's element pair and its conjugate. The same magnitude
-    formula is used for both subspaces so equal-kappa comparisons are
-    comparisons of equal coherence.
+    The same magnitude formula is used for both subspaces so equal-kappa
+    comparisons are comparisons of equal coherence.
     """
-    mu = np.zeros((8, 8), dtype=complex)
     if params.kappa == 0 or params.coh_subspace is None:
-        return mu
+        return 0.0
     if r is None:
         r = thermal_populations(params)
     rv = r.as_array()
-    a = params.kappa * math.sqrt(float(np.prod(rv * (1.0 - rv))))
+    return params.kappa * math.sqrt(float(np.prod(rv * (1.0 - rv))))
+
+
+def coherence_matrix(params, r=None):
+    """The initial off-diagonal injection mu: coherence_amplitude on the
+    chosen subspace's element pair and its conjugate."""
+    mu = np.zeros((8, 8), dtype=complex)
     i, j = IDX_OUTER if params.coh_subspace is CohSubspace.OUTER_DIAG else IDX_INNER
-    mu[i, j] = a
-    mu[j, i] = a
+    mu[i, j] = mu[j, i] = coherence_amplitude(params, r)
     return mu
 
 

@@ -8,21 +8,19 @@ steady state rho_f under the reset generator:
 
 chi multiplies the steady cooling rate by the maximal evolution speed; it
 upper-bounds the time-averaged transient cooling acceleration.
+
+Every quantity here is a scalar formula in the SteadyReport's scalars
+and the coherence amplitude a of rho0 = rho_diag + mu; no 8x8 matrix is
+built. The tests check these exact reductions against the direct traces.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FridgeError, PoleError, UndefinedChiError
-from .linalg import commutator, hs_norm, trace_product
-from .model import (build_hamiltonian, coherence_matrix,
-                    initial_state, thermal_populations, thermal_product)
-from .dynamics import liouvillian_apply
-from .steady import (bias_delta, lambda_weight, reset_combos, sigma_matrix,
-                     steady_state)
+from .model import CohSubspace, coherence_amplitude, thermal_populations
+from .steady import steady_state
 
 
 class TrivialEvolutionWarning(UserWarning):
@@ -66,6 +64,22 @@ class TradeoffCoeffs:
 # the speed limit
 # ----------------------------------------------------------------------
 
+def _initial_speed(params, steady):
+    """(g^2 Delta^2, a^2, w^2): the pieces of the initial generator action.
+
+    L[rho0] = -i[H, rho0] - q mu, as the resets annihilate mu. The part
+    -i[H, rho_diag] is -i g Delta (|101><010| - h.c.); -i[H, mu] vanishes
+    on INNER_DIAG (resonant, commuting with the swap) and is +-i a w,
+    w = 2 E_r, on the |000><111| pair on OUTER_DIAG (w = 0 on INNER_DIAG).
+    Both are imaginary where -q mu is real, so
+    ||L[rho0]||^2 = 2 [g^2 Delta^2 + a^2 (q^2 + w^2)],
+    tr(M^2) = ||-i[H, rho0]||^2 = 2 [g^2 Delta^2 + a^2 w^2], tr(mu^2) = 2 a^2.
+    """
+    a = coherence_amplitude(params)
+    w = 2.0 * params.E_r if params.coh_subspace is CohSubspace.OUTER_DIAG else 0.0
+    return (params.g * steady.delta) ** 2, a * a, w * w
+
+
 def qsl_time(params, steady):
     """QslReport for the machine: tau, its two factors, and chi.
 
@@ -74,16 +88,14 @@ def qsl_time(params, steady):
     terms tr(mu sigma) and tr(rho_diag mu) vanish identically). The
     factored form matters: at weak coupling the gap is ~ 1e-10 while the
     two traces are ~ 0.1, so the direct difference loses eight digits to
-    cancellation. No arccos anywhere (avoids domain rounding at
-    near-coincident states). chi = Q_c/tau is NaN (with a
+    cancellation. generator_norm is ||L[rho0]||_HS from its exact
+    reduction (_initial_speed). No arccos anywhere (avoids domain rounding
+    at near-coincident states). chi = Q_c/tau is NaN (with a
     trivial-evolution warning) when the initial state is stationary.
     """
-    rho0 = initial_state(params)
-    rho_diag = np.diag(np.diag(rho0))
-    mu = rho0 - rho_diag
-    norm = hs_norm(liouvillian_apply(params, rho0))
-    trs = float(trace_product(rho_diag, steady.sigma).real)
-    gap = abs(steady.gamma * trs - float(trace_product(mu, mu).real))
+    gd2, a2, w2 = _initial_speed(params, steady)
+    norm = math.sqrt(2.0 * (gd2 + a2 * (params.q ** 2 + w2)))
+    gap = abs(steady.gamma * steady.overlap - 2.0 * a2)
     if norm == 0.0:
         if gap > 1e-14:
             raise FridgeError(
@@ -193,37 +205,30 @@ def bsocr_coherent_coeffs(params):
 
     Built from the traces n1 = 9 tr(mu^2), n2 = -6 tr(M mu), n3 = tr(M^2)
     with M = -i[H, rho0_diag + mu], and pi1 = tr(rho0_diag sigma + mu sigma),
-    pi2 = tr(rho0_diag mu + mu^2); raises PoleError at Delta = 0 where the
-    reset-rate-form denominators lose meaning.
+    pi2 = tr(rho0_diag mu + mu^2), through their exact reductions: pi1 is
+    the steady overlap, pi2 = 2 a^2, n1 = 18 a^2, n2 = 0 and n3 as in
+    _initial_speed. Raises PoleError at Delta = 0 where the reset-rate-form
+    denominators lose meaning.
     """
-    p = _require_equal_p(params)
-    combos = reset_combos(*params.ps)
-    r = thermal_populations(params)
-    delta = bias_delta(r)
+    _require_equal_p(params)
+    steady = steady_state(params)
+    delta, lam, q, g = steady.delta, steady.lam, params.q, params.g
     if delta == 0.0:
         raise PoleError("coefficients undefined where the bias Delta vanishes")
-    lam = lambda_weight(combos, r)
-    q = combos.q
-    g = params.g
+    gd2, a2, w2 = _initial_speed(params, steady)
 
-    sigma = sigma_matrix(combos, r, params)
-    rho_diag = thermal_product(r)
-    mu = coherence_matrix(params, r)
-    H = build_hamiltonian(params)
-    M = -1j * commutator(H, rho_diag + mu)
-
-    pi1 = float((trace_product(rho_diag, sigma) + trace_product(mu, sigma)).real)
-    pi2 = float((trace_product(rho_diag, mu) + trace_product(mu, mu)).real)
-    n1 = 9.0 * float(trace_product(mu, mu).real)
-    n2 = -6.0 * float(trace_product(M, mu).real)
-    n3 = float(trace_product(M, M).real)
+    pi1 = steady.overlap
+    pi2 = 2.0 * a2
+    n1 = 9.0 * pi2
+    n2 = 0.0
+    n3 = 2.0 * (gd2 + a2 * w2)
 
     d1 = 81.0 * pi2 ** 2 / (4.0 * g ** 4 * delta ** 2)
     d2 = 18.0 * (pi1 + lam * pi2 / delta) * pi2 / (2.0 * g ** 2 * delta)
     d3 = (pi1 + lam * pi2 / delta) ** 2
 
     # coupling form: W = tr(M^2) + q^2 pi2 - 2 g^2 Delta^2 is g-independent
-    W = n3 + q ** 2 * pi2 - 2.0 * g ** 2 * delta ** 2
+    W = 2.0 * a2 * (q ** 2 + w2)   # its exact reduction
     n1g = 8.0 * q ** 2 * delta ** 4
     n2g = 0.0
     n3g = 4.0 * q ** 2 * delta ** 2 * W
@@ -270,17 +275,11 @@ def tradeoff_coeffs(params):
     """
     if params.kappa != 0:
         raise ValueError("trade-off coefficients are defined for kappa = 0")
-    combos = reset_combos(*params.ps)
-    r = thermal_populations(params)
-    delta = bias_delta(r)
-    lam = lambda_weight(combos, r)
-    q = combos.q
-    sigma = sigma_matrix(combos, r, params)
-    rho0 = thermal_product(r)
-    trs = float(trace_product(rho0, sigma).real)
+    steady = steady_state(params)
+    q = params.q
     return TradeoffCoeffs(
-        xi1=-2.0 * params.E_c * delta / q,
-        xi2=math.sqrt(2.0) * abs(trs) / q ** 2,
-        ups1=2.0 * lam / q ** 2,
+        xi1=-2.0 * params.E_c * steady.delta / q,
+        xi2=math.sqrt(2.0) * abs(steady.overlap) / q ** 2,
+        ups1=2.0 * steady.lam / q ** 2,
         ups2=1.0,
     )

@@ -1,11 +1,14 @@
 """Analytic steady state of the reset master equation and derived
 steady-state quantities: rate combinations, the population bias Delta, the
-amplitude gamma, the correction matrix sigma, the cooling rate Q_c, and the
-Carnot coefficient of performance.
+weight lambda, the amplitude gamma, the correction matrix sigma, the
+overlap tr(rho_diag sigma), the cooling rate Q_c, and the Carnot
+coefficient of performance. steady_state is the one place where these
+scalars of a point are computed; qsl reads them from its SteadyReport.
 
-The steady state has the closed form rho_f = rho0 + gamma * sigma where
-rho0 is the thermal product state and sigma is a fixed traceless Hermitian
-matrix built from the thermal populations and the reset-rate combinations.
+The steady state has the closed form rho_f = rho_diag + gamma * sigma
+where rho_diag is the thermal product state and sigma is a fixed traceless
+Hermitian matrix built from the thermal populations and the reset-rate
+combinations: an 8-vector diagonal plus one off-diagonal pair.
 Both gamma's sign convention and the population pairing inside lambda were
 pinned against an independent 64x64 null-space solve of the generator
 (residuals at machine precision across equal and unequal rate sets); the
@@ -18,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularRatesError
-from .linalg import embed, partial_trace, tensor
-from .model import (IDX_INNER, thermal_populations, thermal_product,
-                    thermal_qubit)
-
-Z_C = np.diag([1.0, -1.0]).astype(complex)
-Z_R = np.diag([-1.0, 1.0]).astype(complex)
-Z_H = np.diag([1.0, -1.0]).astype(complex)
+from .model import (IDX_INNER, thermal_factors, thermal_populations,
+                    thermal_product)
 
 
 class NoCouplingWarning(UserWarning):
@@ -51,9 +49,15 @@ class ResetCombos:
 
 @dataclass(frozen=True)
 class SteadyReport:
-    """Everything the steady state determines at one parameter point."""
+    """Everything the steady state determines at one parameter point.
+
+    lam is lambda_weight and overlap = tr(rho_diag sigma), rho_diag the
+    thermal product; neither depends on g.
+    """
     delta: float
     gamma: float
+    lam: float
+    overlap: float
     sigma: np.ndarray
     rho_f: np.ndarray
     q_cool: float
@@ -136,26 +140,8 @@ def gamma_amplitude(params, combos, r):
 
 
 # ----------------------------------------------------------------------
-# matrix building blocks
+# the correction matrix
 # ----------------------------------------------------------------------
-
-def _z_crh():
-    """|010><010| - |101><101| on the full three-qubit space."""
-    Z = np.zeros((8, 8), dtype=complex)
-    i, j = IDX_INNER
-    Z[i, i] = 1.0
-    Z[j, j] = -1.0
-    return Z
-
-
-def _y_crh():
-    """Y = i|101><010| - i|010><101|."""
-    Y = np.zeros((8, 8), dtype=complex)
-    i, j = IDX_INNER
-    Y[j, i] = 1j
-    Y[i, j] = -1j
-    return Y
-
 
 def sigma_matrix(combos, r, params):
     """The traceless Hermitian steady-state correction matrix sigma.
@@ -164,24 +150,30 @@ def sigma_matrix(combos, r, params):
           + Q_cr tau_c x tau_r x Zh + q_c tau_c x Z_rh
           + q_r (tau_r at the middle slot) Z_ch + q_h Z_cr x tau_h
           + Z_crh + (q/2g) Y,
-    where Z_ij = tr_k Z_crh and each two-qubit Z_ij sits on its own qubits
-    with the thermal state on the remaining one (linalg.embed places the
-    single-qubit factor in every term).
+    with Zc = Zh = diag(1, -1), Zr = diag(-1, 1),
+    Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh on its own qubits,
+    and Y = i|101><010| - i|010><101|. Every term but the last is a
+    diagonal product operator, built as a broadcast product of the
+    2-vectors of model.thermal_factors and (1, -1); the sum is sigma's
+    diagonal and (q/2g) Y its only off-diagonal pair.
     """
     if params.g <= 0:
         raise ValueError("sigma_matrix requires g > 0 (the Y term carries q/2g)")
-    tau_c = thermal_qubit(r.r_c)
-    tau_r = thermal_qubit(r.r_r)
-    tau_h = thermal_qubit(r.r_h)
-    Zcrh = _z_crh()
-    sig = (combos.Q_rh * embed(Z_C, tensor(tau_r, tau_h), "c")
-           + combos.Q_ch * embed(Z_R, tensor(tau_c, tau_h), "r")
-           + combos.Q_cr * embed(Z_H, tensor(tau_c, tau_r), "h")
-           + combos.q_c * embed(tau_c, partial_trace(Zcrh, "c"), "c")
-           + combos.q_r * embed(tau_r, partial_trace(Zcrh, "r"), "r")
-           + combos.q_h * embed(tau_h, partial_trace(Zcrh, "h"), "h")
-           + Zcrh
-           + (combos.q / (2.0 * params.g)) * _y_crh())
+    tc, tr, th = thermal_factors(r)
+    z = np.array([1.0, -1.0])
+    zcrh = np.zeros((2, 2, 2))
+    zcrh[0, 1, 0], zcrh[1, 0, 1] = 1.0, -1.0
+    diag = (combos.Q_rh * (z.reshape(2, 1, 1) * (tr * th))
+            + combos.Q_ch * (-z.reshape(1, 2, 1) * (tc * th))
+            + combos.Q_cr * (z.reshape(1, 1, 2) * (tc * tr))
+            + combos.q_c * (tc * zcrh.sum(axis=0, keepdims=True))
+            + combos.q_r * (tr * zcrh.sum(axis=1, keepdims=True))
+            + combos.q_h * (th * zcrh.sum(axis=2, keepdims=True))
+            + zcrh)
+    sig = np.diag(diag.ravel()).astype(complex)
+    i, j = IDX_INNER
+    y = combos.q / (2.0 * params.g)
+    sig[j, i], sig[i, j] = 1j * y, -1j * y
     return sig
 
 
@@ -210,8 +202,9 @@ def steady_state(params):
     combos = reset_combos(*params.ps)
     r = thermal_populations(params)
     gamma = gamma_amplitude(params, combos, r)
+    rho_diag = thermal_product(r)
     sigma = sigma_matrix(combos, r, params)
-    rho_f = thermal_product(r) + gamma * sigma
+    rho_f = rho_diag + gamma * sigma
     if params.T_c < params.T_r < params.T_h:
         eta_car = carnot_cop(params.T_c, params.T_r, params.T_h)
     else:
@@ -219,6 +212,8 @@ def steady_state(params):
     return SteadyReport(
         delta=bias_delta(r),
         gamma=gamma,
+        lam=lambda_weight(combos, r),
+        overlap=float(np.diag(rho_diag).real @ np.diag(sigma).real),
         sigma=sigma,
         rho_f=rho_f,
         q_cool=combos.q * gamma * params.E_c,

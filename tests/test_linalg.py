@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from qfridge import DegenerateKernelError, trace_distance
-from qfridge.linalg import (commutator, embed, hs_norm, null_space_1d,
-                            partial_trace, tensor, trace_product)
-
-
-def _random_herm(rng, n):
-    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (A + A.conj().T) / 2
+from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
+                            trace_product)
 
 
 def _random_density(rng, n):
@@ -113,22 +108,8 @@ def test_partial_trace_rejects_unknown_label(rng):
 
 
 # ----------------------------------------------------------------------
-# inner products and norms
+# inner products
 # ----------------------------------------------------------------------
-
-def test_commutator_antisymmetric(rng):
-    A = _random_herm(rng, 8)
-    B = _random_herm(rng, 8)
-    assert np.allclose(commutator(A, B), -(commutator(B, A)), atol=1e-13)
-    assert np.allclose(commutator(A, A), 0.0, atol=1e-13)
-
-
-def test_hs_norm_squares_to_self_inner(rng):
-    A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert hs_norm(A) ** 2 == pytest.approx(
-        np.trace(A.conj().T @ A).real, rel=1e-13)
-    assert hs_norm(A) == pytest.approx(np.linalg.norm(A, "fro"), rel=1e-13)
-
 
 def test_trace_product_matches_trace_of_product(rng):
     A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))

@@ -16,6 +16,13 @@ def _chi(params):
     return qsl_time(params, steady_state(params)).chi
 
 
+def _coherent_points(rng, n):
+    """n random points with kappa in (0, 1], on each subspace in turn."""
+    subs = (CohSubspace.OUTER_DIAG, CohSubspace.INNER_DIAG)
+    return [random_params(rng, kappa=1.0 - float(rng.uniform()),
+                          subspace=subs[k % 2]) for k in range(n)]
+
+
 # ----------------------------------------------------------------------
 # the speed-limit report
 # ----------------------------------------------------------------------
@@ -32,8 +39,9 @@ def test_report_internal_consistency(cooling_params):
 
 def test_purity_gap_equals_overlap_difference(cooling_params, rng):
     # the factored gap equals |tr(rho0 rho_f) - tr(rho0^2)| where the
-    # difference is well conditioned
-    for params in [cooling_params] + [random_params(rng) for _ in range(6)]:
+    # difference is well conditioned, for diagonal and coherent starts
+    points = [cooling_params] + [random_params(rng) for _ in range(6)]
+    for params in points + _coherent_points(rng, 20):
         rep = steady_state(params)
         qrep = qsl_time(params, rep)
         rho0 = initial_state(params)
@@ -42,11 +50,12 @@ def test_purity_gap_equals_overlap_difference(cooling_params, rng):
         assert qrep.purity_gap == pytest.approx(naive, rel=1e-8, abs=1e-18)
 
 
-def test_generator_norm_is_initial_speed(cooling_params):
-    qrep = qsl_time(cooling_params, steady_state(cooling_params))
-    gen = liouvillian_apply(cooling_params, initial_state(cooling_params))
-    assert qrep.generator_norm == pytest.approx(
-        float(np.linalg.norm(gen, "fro")), rel=1e-14)
+def test_generator_norm_is_initial_speed(cooling_params, rng):
+    for params in [cooling_params] + _coherent_points(rng, 20):
+        qrep = qsl_time(params, steady_state(params))
+        gen = liouvillian_apply(params, initial_state(params))
+        assert qrep.generator_norm == pytest.approx(
+            float(np.linalg.norm(gen, "fro")), rel=1e-14)
 
 
 def test_chi_scaling_dimensions(cooling_params):

@@ -6,11 +6,36 @@ import dataclasses
 from qfridge import (FridgeParams, NoCouplingWarning, SingularRatesError,
                      carnot_cop, steady_state)
 from qfridge.dynamics import liouvillian_apply, liouvillian_matrix
-from qfridge.linalg import hs_norm, null_space_1d, tensor, trace_product
-from qfridge.model import thermal_populations, thermal_qubit
+from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
+                            trace_product)
+from qfridge.model import IDX_INNER, thermal_populations, thermal_qubit
 from qfridge.steady import (bias_delta, gamma_amplitude, lambda_weight,
-                            omega_weights, reset_combos)
+                            omega_weights, reset_combos, sigma_matrix)
 from conftest import random_params
+
+
+def _sigma_by_embedding(combos, r, params):
+    """sigma term by term as 8x8 operators, each product term placed by
+    linalg.embed and each two-qubit Z_ij taken as a partial trace of Z_crh:
+    the reference for the diagonal-vector sigma_matrix.
+    """
+    tau_c, tau_r, tau_h = (thermal_qubit(x) for x in (r.r_c, r.r_r, r.r_h))
+    z_c = np.diag([1.0, -1.0]).astype(complex)
+    z_r = np.diag([-1.0, 1.0]).astype(complex)
+    z_h = np.diag([1.0, -1.0]).astype(complex)
+    i, j = IDX_INNER
+    z_crh = np.zeros((8, 8), dtype=complex)
+    z_crh[i, i], z_crh[j, j] = 1.0, -1.0
+    y = np.zeros((8, 8), dtype=complex)
+    y[j, i], y[i, j] = 1j, -1j
+    return (combos.Q_rh * embed(z_c, tensor(tau_r, tau_h), "c")
+            + combos.Q_ch * embed(z_r, tensor(tau_c, tau_h), "r")
+            + combos.Q_cr * embed(z_h, tensor(tau_c, tau_r), "h")
+            + combos.q_c * embed(tau_c, partial_trace(z_crh, "c"), "c")
+            + combos.q_r * embed(tau_r, partial_trace(z_crh, "r"), "r")
+            + combos.q_h * embed(tau_h, partial_trace(z_crh, "h"), "h")
+            + z_crh
+            + (combos.q / (2.0 * params.g)) * y)
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +127,7 @@ def test_carnot_cop():
 def _check_point(params):
     rep = steady_state(params)
     # fixed point of the generator, at machine precision
-    residual = hs_norm(liouvillian_apply(params, rep.rho_f))
+    residual = np.linalg.norm(liouvillian_apply(params, rep.rho_f))
     assert residual <= 1e-12
     # physical state
     assert np.trace(rep.rho_f).real == pytest.approx(1.0, abs=1e-12)
@@ -120,6 +145,29 @@ def _check_point(params):
     assert rep.is_fridge == (rep.gamma > 0) == (rep.delta < 0)
     assert rep.is_fridge == (rep.eta < rep.eta_carnot)
     return rep
+
+
+def test_sigma_matrix_equals_the_embedded_terms(cooling_params,
+                                                heating_params,
+                                                unequal_rate_params, rng):
+    fixtures = [cooling_params, heating_params, unequal_rate_params]
+    for params in fixtures + [random_params(rng) for _ in range(60)]:
+        combos = reset_combos(*params.ps)
+        r = thermal_populations(params)
+        assert np.array_equal(sigma_matrix(combos, r, params),
+                              _sigma_by_embedding(combos, r, params))
+
+
+def test_report_scalars_match_their_definitions(cooling_params, rng):
+    # lam is lambda_weight; overlap is the direct trace tr(rho_diag sigma)
+    for params in [cooling_params] + [random_params(rng) for _ in range(20)]:
+        rep = steady_state(params)
+        r = thermal_populations(params)
+        assert rep.lam == lambda_weight(reset_combos(*params.ps), r)
+        rho_diag = tensor(thermal_qubit(r.r_c),
+                          tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+        assert rep.overlap == pytest.approx(
+            trace_product(rho_diag, rep.sigma).real, rel=1e-13)
 
 
 def test_steady_state_fixed_point_and_report(cooling_params, heating_params,
