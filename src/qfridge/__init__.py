@@ -12,11 +12,11 @@ and optimizers.
 
 from .errors import (BoundaryMaximumError, ConfigError, DegenerateKernelError,
                      FridgeError, IntegrationError, PoleError,
-                     SingularRatesError, UndefinedChiError)
+                     UndefinedChiError)
 from .model import (CohSubspace, FridgeParams, PerturbativeRegimeWarning,
                     initial_state)
 from .linalg import trace_distance
-from .steady import NoCouplingWarning, carnot_cop, steady_state
+from .steady import carnot_cop, steady_state
 from .dynamics import evolve
 from .qsl import (NonCoolingWarning, TrivialEvolutionWarning, bsocr,
                   bsocr_coherent_coeffs, chi_from_g_form, qsl_time,
@@ -34,9 +34,8 @@ __all__ = [
     "SweepSpec", "run_sweep", "maximize_chi_over_eta", "f_function",
     "chi_highT", "eta_opt_asymptotic",
     "BoundaryMaximumError", "ConfigError", "DegenerateKernelError",
-    "FridgeError", "IntegrationError", "PoleError", "SingularRatesError",
-    "UndefinedChiError",
-    "PerturbativeRegimeWarning", "NoCouplingWarning", "NonCoolingWarning",
+    "FridgeError", "IntegrationError", "PoleError", "UndefinedChiError",
+    "PerturbativeRegimeWarning", "NonCoolingWarning",
     "TrivialEvolutionWarning", "HighTemperatureValidityWarning",
 ]
 

@@ -16,7 +16,7 @@ from .qsl import qsl_time
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-_KNOBS = ("g", "p_equal", "eta", "kappa")
+KNOBS = ("g", "p_equal", "eta", "kappa")
 
 # CSV schema: column name -> SweepRecord attribute
 _CSV_FIELDS = (("Q_c", "q_cool"), ("tau", "tau"), ("chi", "chi"),
@@ -63,9 +63,9 @@ class SweepSpec:
     outputs: tuple = None
 
     def __post_init__(self):
-        if self.knob not in _KNOBS:
+        if self.knob not in KNOBS:
             raise ValueError(f"unknown sweep knob {self.knob!r}; "
-                             f"expected one of {_KNOBS}")
+                             f"expected one of {KNOBS}")
         grid = tuple(float(v) for v in self.grid)
         if len(grid) == 0:
             raise ValueError("sweep grid is empty")

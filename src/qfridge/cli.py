@@ -25,7 +25,7 @@ from .model import CohSubspace, FridgeParams
 from .steady import carnot_cop, steady_state
 from .dynamics import evolve
 from .qsl import qsl_time
-from .analysis import (SweepSpec, maximize_chi_over_eta, run_sweep,
+from .analysis import (KNOBS, SweepSpec, maximize_chi_over_eta, run_sweep,
                        write_sweep_csv)
 from .verify import FAIL, format_report, run_all_checks
 
@@ -96,8 +96,7 @@ def _build_parser():
                    help="speed-limit time tau and chi = Q_c/tau")
     sw = sub.add_parser("sweep", parents=[writes_csv],
                         help="sweep one knob, write sweep CSV")
-    sw.add_argument("--knob", choices=("g", "p_equal", "eta", "kappa"),
-                    default=None)
+    sw.add_argument("--knob", choices=KNOBS, default=None)
     sw.add_argument("--log", nargs=3, type=float, default=None,
                     metavar=("LO", "HI", "N"), help="logarithmic grid")
     sw.add_argument("--lin", nargs=3, type=float, default=None,

@@ -67,7 +67,7 @@ def liouvillian_apply(params, rho):
         raise ValueError("liouvillian_apply: expected an 8x8 matrix")
     H = build_hamiltonian(params)
     out = -1j * (H @ rho - rho @ H)
-    r = thermal_populations(params).as_array()
+    r = thermal_populations(params)
     for i, label in enumerate("crh"):
         p = params.ps[i]
         if p == 0:
@@ -98,7 +98,7 @@ def heat_current_cold(params, rho):
     reduction p_c E_c (rbar_c tr(rho) - tr(rho[4:, 4:])).
     """
     rho = np.asarray(rho, dtype=complex)
-    rbar_c = thermal_populations(params).rbar_c
+    rbar_c = 1.0 - thermal_populations(params).r_c
     excess = (rbar_c * np.trace(rho, axis1=-2, axis2=-1)
               - np.trace(rho[..., 4:, 4:], axis1=-2, axis2=-1))
     return params.p_c * params.E_c * excess.real

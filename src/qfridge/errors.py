@@ -14,11 +14,6 @@ class ConfigError(FridgeError):
     """Invalid or inconsistent run configuration (bad key, bad range)."""
 
 
-class SingularRatesError(FridgeError):
-    """Reset-rate combination with a vanishing denominator (e.g. two of
-    three rates zero): the q_i / Q_jk combinations are undefined."""
-
-
 class DegenerateKernelError(FridgeError):
     """The 64x64 generator has a kernel of dimension != 1, so there is no
     unique steady state to return."""

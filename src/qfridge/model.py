@@ -12,6 +12,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,27 +113,11 @@ class FridgeParams:
         return self.p_c + self.p_r + self.p_h
 
 
-@dataclass(frozen=True)
-class ThermalPopulations:
+class ThermalPopulations(NamedTuple):
     """Ground-state occupations r_i of the three qubits at their baths."""
     r_c: float
     r_r: float
     r_h: float
-
-    @property
-    def rbar_c(self):
-        return 1.0 - self.r_c
-
-    @property
-    def rbar_r(self):
-        return 1.0 - self.r_r
-
-    @property
-    def rbar_h(self):
-        return 1.0 - self.r_h
-
-    def as_array(self):
-        return np.array([self.r_c, self.r_r, self.r_h])
 
 
 def ground_pop(E, T):
@@ -163,7 +148,7 @@ def thermal_factors(r):
     that of tau_c (x) tau_r (x) tau_h, equal to the Kronecker product.
     """
     return tuple(np.reshape([x, 1.0 - x], shape) for x, shape in
-                 zip((r.r_c, r.r_r, r.r_h), ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
+                 zip(r, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
 
 
 def thermal_product(r):
@@ -202,8 +187,7 @@ def coherence_amplitude(params, r=None):
         return 0.0
     if r is None:
         r = thermal_populations(params)
-    rv = r.as_array()
-    return params.kappa * math.sqrt(float(np.prod(rv * (1.0 - rv))))
+    return params.kappa * math.sqrt(math.prod(x * (1.0 - x) for x in r))
 
 
 def coherence_matrix(params, r=None):

@@ -159,7 +159,7 @@ def bsocr_closed_equal_p(params):
     if params.kappa != 0:
         raise ValueError("closed form requires kappa = 0")
     r = thermal_populations(params)
-    bc, br, bh = r.rbar_c, r.rbar_r, r.rbar_h
+    bc, br, bh = (1.0 - x for x in r)
     num = bc * bh - br * (1.0 - bc - bh + 2.0 * bc * bh)
     den = (1.5 - 3.0 * bh
            + br * (-1.0 + 3.0 * bh + bh ** 2)

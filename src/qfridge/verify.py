@@ -19,8 +19,7 @@ from .linalg import null_space_1d, trace_distance
 from .model import (CohSubspace, FridgeParams, build_hamiltonian,
                     coherence_matrix, initial_state, interaction_hamiltonian,
                     thermal_populations, thermal_product)
-from .steady import (bias_delta, reset_combos, sigma_matrix,
-                     steady_state)
+from .steady import rate_combos, steady_state
 from .dynamics import (convergence_time, evolve, heat_current_cold,
                        liouvillian_apply, liouvillian_matrix)
 from .qsl import (bsocr, bsocr_closed_equal_p, qsl_time, tradeoff_coeffs)
@@ -88,7 +87,7 @@ _NAMED_SETS = (("tradeoff", tradeoff_params),
 # criterion 1: analytic steady state vs generator and null-space oracle
 # ----------------------------------------------------------------------
 
-def _omega_variant_lambda(variant, combos, r):
+def _omega_variant_lambda(variant, qs, Qs, r):
     """lambda built with one of the three candidate Omega_jk combinations."""
     rp = np.array([r.r_c, 1.0 - r.r_r, r.r_h])
     ru = np.array([r.r_c, r.r_r, r.r_h])
@@ -99,24 +98,21 @@ def _omega_variant_lambda(variant, combos, r):
         om = [rp[j] * (1 - rp[k]) + (1 - rp[j]) * rp[k] for j, k in pairs]
     else:  # adopted: XNOR of the primed populations
         om = [rp[j] * rp[k] + (1 - rp[j]) * (1 - rp[k]) for j, k in pairs]
-    qs = (combos.Q_cr, combos.Q_ch, combos.Q_rh)
-    return 2.0 + combos.q_c + combos.q_r + combos.q_h + sum(
-        Q * o for Q, o in zip(qs, om))
+    return 2.0 + qs[0] + qs[1] + qs[2] + sum(Q * o for Q, o in zip(Qs, om))
 
 
 def omega_variant_residuals(params):
     """Generator residual ||L[rho0 + gamma sigma]|| for each Omega variant."""
-    combos = reset_combos(*params.ps)
+    srep = steady_state(params)
+    q, qs, Qs = rate_combos(*params.ps)
     r = thermal_populations(params)
-    delta = bias_delta(r)
-    sigma = sigma_matrix(combos, r, params)
     rho0 = thermal_product(r)
     out = {}
     for variant in ("printed", "symmetrized", "adopted"):
-        lam = _omega_variant_lambda(variant, combos, r)
-        gamma = -delta / (lam + combos.q ** 2 / (2.0 * params.g ** 2))
+        lam = _omega_variant_lambda(variant, qs, Qs, r)
+        gamma = -srep.delta / (lam + q ** 2 / (2.0 * params.g ** 2))
         out[variant] = np.linalg.norm(
-            liouvillian_apply(params, rho0 + gamma * sigma))
+            liouvillian_apply(params, rho0 + gamma * srep.sigma))
     return out
 
 

@@ -272,6 +272,16 @@ def test_compute_error_exit_code(capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_disparate_rates_are_computed(tmp_path, monkeypatch, capsys):
+    # p_r = p_h far below p_c: every rate denominator is a sum of rates
+    monkeypatch.setenv("QFRIDGE_OUTDIR", str(tmp_path))
+    argv = ["steady", "--Ec", "1", "--eta", "0.5", "--Tc", "1", "--Tr", "2",
+            "--Th", "10", "--pc", "0.05", "--pr", "1e-20", "--ph", "1e-20",
+            "--g", "0.05"]
+    assert main(argv) == EXIT_OK
+    assert "gamma" in capsys.readouterr().out
+
+
 def test_optimize_prints_summary(capsys):
     argv = ["optimize", "--Ec", "1", "--eta", "0.4", "--Tc", "1", "--Tr",
             "2", "--Th", "10", "--pc", "0.01", "--pr", "0.02", "--ph",

@@ -79,8 +79,7 @@ def test_populations_match_boltzmann(cooling_params):
     assert r.r_c == pytest.approx(1.0 / (1.0 + np.exp(-E_c / 1.0)))
     assert r.r_r == pytest.approx(1.0 / (1.0 + np.exp(-E_r / 2.0)))
     assert r.r_h == pytest.approx(1.0 / (1.0 + np.exp(-E_h / 10.0)))
-    assert r.rbar_c == pytest.approx(1.0 - r.r_c)
-    assert np.allclose(r.as_array(), [r.r_c, r.r_r, r.r_h])
+    assert tuple(r) == (r.r_c, r.r_r, r.r_h)
 
 
 def test_thermal_qubit_shape():
@@ -134,8 +133,8 @@ def test_coherence_placement_and_amplitude(sub, idx):
     p = _base(kappa=kappa, coh_subspace=sub)
     r = thermal_populations(p)
     mu = coherence_matrix(p)
-    a = kappa * np.sqrt(r.r_c * r.rbar_c * r.r_r * r.rbar_r
-                        * r.r_h * r.rbar_h)
+    a = kappa * np.sqrt(r.r_c * (1 - r.r_c) * r.r_r * (1 - r.r_r)
+                        * r.r_h * (1 - r.r_h))
     expected = np.zeros((8, 8))
     expected[idx[0], idx[1]] = a
     expected[idx[1], idx[0]] = a

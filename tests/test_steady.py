@@ -3,23 +3,44 @@ import pytest
 
 import dataclasses
 
-from qfridge import (FridgeParams, NoCouplingWarning, SingularRatesError,
-                     carnot_cop, steady_state)
+from qfridge import FridgeError, FridgeParams, carnot_cop, steady_state
 from qfridge.dynamics import liouvillian_apply, liouvillian_matrix
 from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
                             trace_product)
 from qfridge.model import IDX_INNER, thermal_populations, thermal_qubit
-from qfridge.steady import (bias_delta, gamma_amplitude, lambda_weight,
-                            omega_weights, reset_combos, sigma_matrix)
+from qfridge.steady import rate_combos, sigma_matrix
 from conftest import random_params
 
 
-def _sigma_by_embedding(combos, r, params):
+def _delta(r):
+    """Population bias Delta = r_c rbar_r r_h - rbar_c r_r rbar_h."""
+    return r.r_c * (1.0 - r.r_r) * r.r_h - (1.0 - r.r_c) * r.r_r * (1.0 - r.r_h)
+
+
+def _xnor_weights(r):
+    """Omega_jk = r'_j r'_k + (1-r'_j)(1-r'_k) over {cr, ch, rh}, r' the
+    populations with the middle qubit flipped."""
+    rp = (r.r_c, 1.0 - r.r_r, r.r_h)
+    return [rp[j] * rp[k] + (1.0 - rp[j]) * (1.0 - rp[k])
+            for j, k in ((0, 1), (0, 2), (1, 2))]
+
+
+def _lambda(params):
+    """lambda = 2 + sum_i q_i + sum_jk Q_jk Omega_jk."""
+    _, qs, Qs = rate_combos(*params.ps)
+    om = _xnor_weights(thermal_populations(params))
+    return (2.0 + qs[0] + qs[1] + qs[2]
+            + Qs[0] * om[0] + Qs[1] * om[1] + Qs[2] * om[2])
+
+
+def _sigma_by_embedding(params):
     """sigma term by term as 8x8 operators, each product term placed by
     linalg.embed and each two-qubit Z_ij taken as a partial trace of Z_crh:
     the reference for the diagonal-vector sigma_matrix.
     """
-    tau_c, tau_r, tau_h = (thermal_qubit(x) for x in (r.r_c, r.r_r, r.r_h))
+    q, (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = rate_combos(*params.ps)
+    tau_c, tau_r, tau_h = (thermal_qubit(x)
+                           for x in thermal_populations(params))
     z_c = np.diag([1.0, -1.0]).astype(complex)
     z_r = np.diag([-1.0, 1.0]).astype(complex)
     z_h = np.diag([1.0, -1.0]).astype(complex)
@@ -28,14 +49,14 @@ def _sigma_by_embedding(combos, r, params):
     z_crh[i, i], z_crh[j, j] = 1.0, -1.0
     y = np.zeros((8, 8), dtype=complex)
     y[j, i], y[i, j] = 1j, -1j
-    return (combos.Q_rh * embed(z_c, tensor(tau_r, tau_h), "c")
-            + combos.Q_ch * embed(z_r, tensor(tau_c, tau_h), "r")
-            + combos.Q_cr * embed(z_h, tensor(tau_c, tau_r), "h")
-            + combos.q_c * embed(tau_c, partial_trace(z_crh, "c"), "c")
-            + combos.q_r * embed(tau_r, partial_trace(z_crh, "r"), "r")
-            + combos.q_h * embed(tau_h, partial_trace(z_crh, "h"), "h")
+    return (Q_rh * embed(z_c, tensor(tau_r, tau_h), "c")
+            + Q_ch * embed(z_r, tensor(tau_c, tau_h), "r")
+            + Q_cr * embed(z_h, tensor(tau_c, tau_r), "h")
+            + q_c * embed(tau_c, partial_trace(z_crh, "c"), "c")
+            + q_r * embed(tau_r, partial_trace(z_crh, "r"), "r")
+            + q_h * embed(tau_h, partial_trace(z_crh, "h"), "h")
             + z_crh
-            + (combos.q / (2.0 * params.g)) * y)
+            + (q / (2.0 * params.g)) * y)
 
 
 # ----------------------------------------------------------------------
@@ -44,24 +65,22 @@ def _sigma_by_embedding(combos, r, params):
 
 def test_reset_combos_formulas():
     pc, pr, ph = 0.01, 0.02, 0.05
-    c = reset_combos(pc, pr, ph)
-    q = pc + pr + ph
-    assert c.q == pytest.approx(q)
-    assert c.q_c == pytest.approx(pc / (q - pc))
-    assert c.q_r == pytest.approx(pr / (q - pr))
-    assert c.q_h == pytest.approx(ph / (q - ph))
-    assert c.Q_cr == pytest.approx((pc * c.q_r + pr * c.q_c) / (q - pc - pr))
-    assert c.Q_ch == pytest.approx((pc * c.q_h + ph * c.q_c) / (q - pc - ph))
-    assert c.Q_rh == pytest.approx((pr * c.q_h + ph * c.q_r) / (q - pr - ph))
+    q, (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = rate_combos(pc, pr, ph)
+    assert q == pytest.approx(pc + pr + ph)
+    assert q_c == pytest.approx(pc / (q - pc))
+    assert q_r == pytest.approx(pr / (q - pr))
+    assert q_h == pytest.approx(ph / (q - ph))
+    assert Q_cr == pytest.approx((pc * q_r + pr * q_c) / (q - pc - pr))
+    assert Q_ch == pytest.approx((pc * q_h + ph * q_c) / (q - pc - ph))
+    assert Q_rh == pytest.approx((pr * q_h + ph * q_r) / (q - pr - ph))
 
 
 def test_reset_combos_heat_current_identity(rng):
     # p_c (1 + q_r + q_h + Q_rh) = q, the contraction behind J_c = q gamma E_c
     for _ in range(20):
         pc, pr, ph = rng.uniform(0.001, 0.2, size=3)
-        c = reset_combos(pc, pr, ph)
-        assert pc * (1.0 + c.q_r + c.q_h + c.Q_rh) == pytest.approx(
-            c.q, rel=1e-12)
+        q, (_, q_r, q_h), (_, _, Q_rh) = rate_combos(pc, pr, ph)
+        assert pc * (1.0 + q_r + q_h + Q_rh) == pytest.approx(q, rel=1e-12)
 
 
 def test_zero_rate_rejected_at_solve_time():
@@ -73,15 +92,12 @@ def test_zero_rate_rejected_at_solve_time():
         steady_state(p)
 
 
-def test_reset_combos_singular_cases():
-    with pytest.raises(SingularRatesError):
-        reset_combos(0.0, 0.0, 0.0)
-    with pytest.raises(SingularRatesError):
-        reset_combos(0.0, 0.0, 0.05)        # q - p_h = 0
-    with pytest.raises(SingularRatesError):
-        reset_combos(0.0, 0.02, 0.05)       # q - p_r - p_h = 0
-    with pytest.raises(ValueError):
-        reset_combos(-0.01, 0.02, 0.05)
+def test_overflowing_rate_ratio_is_refused():
+    # Q_rh = (p_r q_h + p_h q_r)/p_c overflows for a subnormal p_c
+    p = FridgeParams(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
+                     p_c=1e-310, p_r=0.05, p_h=0.05, g=0.05)
+    with pytest.raises(FridgeError, match="overflows"):
+        steady_state(p)
 
 
 # ----------------------------------------------------------------------
@@ -89,28 +105,19 @@ def test_reset_combos_singular_cases():
 # ----------------------------------------------------------------------
 
 def test_bias_sign_tracks_operating_regime(cooling_params, heating_params):
-    assert bias_delta(thermal_populations(cooling_params)) < 0   # fridge
-    assert bias_delta(thermal_populations(heating_params)) > 0   # heater
+    for params, sign in ((cooling_params, -1.0), (heating_params, 1.0)):
+        delta = steady_state(params).delta
+        assert delta == _delta(thermal_populations(params))
+        assert np.sign(delta) == sign     # Delta < 0: fridge; > 0: heater
 
 
-def test_omega_weights_are_primed_xnor(cooling_params):
-    r = thermal_populations(cooling_params)
-    rp = np.array([r.r_c, 1.0 - r.r_r, r.r_h])     # prime flips only r
-    om = omega_weights(r)
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    for w, (j, k) in zip(om, pairs):
-        assert w == pytest.approx(rp[j] * rp[k]
-                                  + (1 - rp[j]) * (1 - rp[k]), rel=1e-14)
-        assert 0.0 < w < 1.0
-
-
-def test_gamma_zero_coupling_warns():
-    p = FridgeParams(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
-                     p_c=0.05, p_r=0.05, p_h=0.05, g=0.0)
-    combos = reset_combos(*p.ps)
-    r = thermal_populations(p)
-    with pytest.warns(NoCouplingWarning):
-        assert gamma_amplitude(p, combos, r) == 0.0
+def test_omega_weights_are_primed_xnor(cooling_params, rng):
+    # lambda weighs each Q_jk by the XNOR of the primed populations; the
+    # Omega-variant arbiter in verify shows the other pairings fail
+    for params in [cooling_params] + [random_params(rng) for _ in range(20)]:
+        assert steady_state(params).lam == _lambda(params)
+        assert all(0.0 < w < 1.0
+                   for w in _xnor_weights(thermal_populations(params)))
 
 
 def test_carnot_cop():
@@ -152,18 +159,22 @@ def test_sigma_matrix_equals_the_embedded_terms(cooling_params,
                                                 unequal_rate_params, rng):
     fixtures = [cooling_params, heating_params, unequal_rate_params]
     for params in fixtures + [random_params(rng) for _ in range(60)]:
-        combos = reset_combos(*params.ps)
-        r = thermal_populations(params)
-        assert np.array_equal(sigma_matrix(combos, r, params),
-                              _sigma_by_embedding(combos, r, params))
+        q, qs, Qs = rate_combos(*params.ps)
+        sigma = sigma_matrix(thermal_populations(params), qs, Qs,
+                             q / (2.0 * params.g))
+        assert np.array_equal(sigma, _sigma_by_embedding(params))
+        assert np.array_equal(steady_state(params).sigma, sigma)
 
 
 def test_report_scalars_match_their_definitions(cooling_params, rng):
-    # lam is lambda_weight; overlap is the direct trace tr(rho_diag sigma)
+    # gamma = -Delta/(lambda + q^2/2g^2); overlap is the direct trace
+    # tr(rho_diag sigma)
     for params in [cooling_params] + [random_params(rng) for _ in range(20)]:
         rep = steady_state(params)
         r = thermal_populations(params)
-        assert rep.lam == lambda_weight(reset_combos(*params.ps), r)
+        assert rep.gamma == pytest.approx(
+            -_delta(r) / (_lambda(params)
+                          + params.q ** 2 / (2.0 * params.g ** 2)), rel=1e-14)
         rho_diag = tensor(thermal_qubit(r.r_c),
                           tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
         assert rep.overlap == pytest.approx(
@@ -217,19 +228,21 @@ def test_overlap_closed_form_matches_trace(rng):
         params = random_params(rng)
         rep = steady_state(params)
         r = thermal_populations(params)
-        combos = reset_combos(*params.ps)
+        _, (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = rate_combos(*params.ps)
         rho_diag = tensor(thermal_qubit(r.r_c),
                           tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
         direct = trace_product(rho_diag, rep.sigma).real
         pi = lambda ri: ri * ri + (1 - ri) * (1 - ri)
         pc, pr, ph = pi(r.r_c), pi(r.r_r), pi(r.r_h)
-        closed = (combos.Q_rh * (r.r_c - r.rbar_c) * pr * ph
-                  + combos.Q_ch * (r.rbar_r - r.r_r) * pc * ph
-                  + combos.Q_cr * (r.r_h - r.rbar_h) * pc * pr
-                  + combos.q_c * pc * (r.rbar_r * r.r_h - r.r_r * r.rbar_h)
-                  + combos.q_r * pr * (r.r_c * r.r_h - r.rbar_c * r.rbar_h)
-                  + combos.q_h * ph * (r.r_c * r.rbar_r - r.rbar_c * r.r_r)
-                  + bias_delta(r))
+        rc, rr, rh = r
+        bc, br, bh = (1.0 - x for x in r)
+        closed = (Q_rh * (rc - bc) * pr * ph
+                  + Q_ch * (br - rr) * pc * ph
+                  + Q_cr * (rh - bh) * pc * pr
+                  + q_c * pc * (br * rh - rr * bh)
+                  + q_r * pr * (rc * rh - bc * bh)
+                  + q_h * ph * (rc * br - bc * rr)
+                  + _delta(r))
         assert direct == pytest.approx(closed, rel=1e-11, abs=1e-15)
 
 
@@ -240,13 +253,11 @@ def test_small_g_limit_gamma_vanishes(cooling_params):
               for g in gs]
     for g, gam in zip(gs, gammas):
         assert gam == pytest.approx(
-            2.0 * g ** 2 * (-bias_delta(thermal_populations(cooling_params)))
+            2.0 * g ** 2 * (-_delta(thermal_populations(cooling_params)))
             / cooling_params.q ** 2, rel=1e-3)
 
 
 def test_lambda_weight_positive(rng):
     for _ in range(10):
         params = random_params(rng)
-        lam = lambda_weight(reset_combos(*params.ps),
-                            thermal_populations(params))
-        assert lam > 2.0
+        assert steady_state(params).lam > 2.0
