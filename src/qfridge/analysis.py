@@ -16,7 +16,9 @@ from .qsl import qsl_time
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-KNOBS = ("g", "p_equal", "eta", "kappa")
+# sweep knob -> the FridgeParams fields each grid value sets
+KNOBS = {"g": ("g",), "p_equal": ("p_c", "p_r", "p_h"), "eta": ("eta",),
+         "kappa": ("kappa",)}
 
 # CSV schema: column name -> SweepRecord attribute
 _CSV_FIELDS = (("Q_c", "q_cool"), ("tau", "tau"), ("chi", "chi"),
@@ -53,8 +55,8 @@ class SweepRecord:
 class SweepSpec:
     """A one-knob sweep: base parameters, the knob name, and the grid.
 
-    knob is one of g, p_equal (all three reset rates together), eta,
-    kappa. outputs optionally restricts which report columns the CSV
+    knob is a key of KNOBS: g, p_equal (all three reset rates together),
+    eta, kappa. outputs optionally restricts which report columns the CSV
     writer emits (records themselves always carry every field).
     """
     base: object
@@ -65,7 +67,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.knob not in KNOBS:
             raise ValueError(f"unknown sweep knob {self.knob!r}; "
-                             f"expected one of {KNOBS}")
+                             f"expected one of {tuple(KNOBS)}")
         grid = tuple(float(v) for v in self.grid)
         if len(grid) == 0:
             raise ValueError("sweep grid is empty")
@@ -94,16 +96,6 @@ class SweepSpec:
             object.__setattr__(self, "outputs", outs)
 
 
-def _point_params(base, knob, value):
-    if knob == "g":
-        return replace(base, g=value)
-    if knob == "p_equal":
-        return replace(base, p_c=value, p_r=value, p_h=value)
-    if knob == "eta":
-        return replace(base, eta=value)
-    return replace(base, kappa=value)
-
-
 def run_sweep(spec):
     """Evaluate the sweep, one SweepRecord per grid point in grid order.
 
@@ -115,11 +107,11 @@ def run_sweep(spec):
     """
     records = []
     for value in spec.grid:
-        msgs = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                pt = _point_params(spec.base, spec.knob, value)
+                pt = replace(spec.base,
+                             **dict.fromkeys(KNOBS[spec.knob], value))
                 srep = steady_state(pt)
                 qrep = qsl_time(pt, srep)
                 row = SweepRecord(
@@ -132,10 +124,8 @@ def run_sweep(spec):
                     knob_value=value, q_cool=nan, tau=nan, chi=nan,
                     gamma=nan, delta=nan, is_fridge=False,
                     warnings=(f"error: {exc}",))
-        msgs.extend(str(w.message) for w in caught)
-        if msgs:
-            row = replace(row, warnings=row.warnings + tuple(msgs))
-        records.append(row)
+        records.append(replace(row, warnings=row.warnings + tuple(
+            str(w.message) for w in caught)))
     return records
 
 
@@ -270,23 +260,6 @@ def maximize_chi_over_eta(params, bracket=None):
 # high-temperature forms
 # ----------------------------------------------------------------------
 
-def _excitation_ratios(eta, params):
-    """x_i = E_i/T_i at the given efficiency (holding E_c fixed)."""
-    x_c = params.E_c / params.T_c
-    x_r = (params.E_c / params.T_r) * (1.0 + 1.0 / eta)
-    x_h = params.E_c / (eta * params.T_h)
-    return x_c, x_r, x_h
-
-
-def _warn_if_not_high_t(x_c, x_r, x_h):
-    worst = max(x_c, x_r, x_h)
-    if worst > 0.1:
-        warnings.warn(
-            f"max(E_i/T_i) = {worst:.3g} is not small: high-temperature "
-            "forms are inaccurate here", HighTemperatureValidityWarning,
-            stacklevel=3)
-
-
 def f_function(eta, params):
     """High-temperature shape function F(eta).
 
@@ -299,8 +272,15 @@ def f_function(eta, params):
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    x_c, x_r, x_h = _excitation_ratios(eta, params)
-    _warn_if_not_high_t(x_c, x_r, x_h)
+    x_c = params.E_c / params.T_c
+    x_r = (params.E_c / params.T_r) * (1.0 + 1.0 / eta)
+    x_h = params.E_c / (eta * params.T_h)
+    worst = max(x_c, x_r, x_h)
+    if worst > 0.1:
+        warnings.warn(
+            f"max(E_i/T_i) = {worst:.3g} is not small: high-temperature "
+            "forms are inaccurate here", HighTemperatureValidityWarning,
+            stacklevel=2)
     den = x_c - x_r + x_h
     if den == 0.0:
         raise PoleError("F undefined: x_c - x_r + x_h = 0 at this eta")

@@ -170,32 +170,25 @@ def build_hamiltonian(params):
     return H
 
 
-def interaction_hamiltonian(params):
-    """Just the g(|101><010| + h.c.) part of the Hamiltonian."""
-    H = build_hamiltonian(params)
-    return H - np.diag(np.diag(H))
-
-
-def coherence_amplitude(params, r=None):
+def coherence_amplitude(params):
     """The real amplitude a = kappa * sqrt(prod_i r_i rbar_i) of the initial
-    coherence (0.0 when kappa = 0).
+    coherence (0.0 when kappa = 0), with r_i the thermal populations.
 
     The same magnitude formula is used for both subspaces so equal-kappa
     comparisons are comparisons of equal coherence.
     """
     if params.kappa == 0 or params.coh_subspace is None:
         return 0.0
-    if r is None:
-        r = thermal_populations(params)
+    r = thermal_populations(params)
     return params.kappa * math.sqrt(math.prod(x * (1.0 - x) for x in r))
 
 
-def coherence_matrix(params, r=None):
+def coherence_matrix(params):
     """The initial off-diagonal injection mu: coherence_amplitude on the
-    chosen subspace's element pair and its conjugate."""
+    chosen subspace's element pair and its conjugate (zero when kappa = 0)."""
     mu = np.zeros((8, 8), dtype=complex)
     i, j = IDX_OUTER if params.coh_subspace is CohSubspace.OUTER_DIAG else IDX_INNER
-    mu[i, j] = mu[j, i] = coherence_amplitude(params, r)
+    mu[i, j] = mu[j, i] = coherence_amplitude(params)
     return mu
 
 
@@ -207,11 +200,9 @@ def initial_state(params):
     positivity is still checked numerically and a ValueError raised if the
     spectrum dips below -1e-12 (cannot happen for kappa <= 1).
     """
-    r = thermal_populations(params)
-    rho = thermal_product(r)
-    mu = coherence_matrix(params, r)
+    rho = thermal_product(thermal_populations(params))
     if params.kappa > 0:
-        rho = rho + mu
+        rho = rho + coherence_matrix(params)
         if float(np.linalg.eigvalsh(rho).min()) < -1e-12:
             raise ValueError("initial state not positive semidefinite")
     return rho

@@ -8,7 +8,8 @@ are computed; qsl reads them from its SteadyReport.
 The steady state has the closed form rho_f = rho_diag + gamma * sigma
 where rho_diag is the thermal product state and sigma is a fixed traceless
 Hermitian matrix built from the thermal populations and the reset-rate
-combinations: an 8-vector diagonal plus one off-diagonal pair.
+combinations: an 8-vector diagonal plus one off-diagonal pair. Both
+diagonals come from one grid of thermal factors per point.
 Both gamma's sign convention and the population pairing inside lambda were
 pinned against an independent 64x64 null-space solve of the generator
 (residuals at machine precision across equal and unequal rate sets); the
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FridgeError
-from .model import (IDX_INNER, thermal_factors, thermal_populations,
-                    thermal_product)
+from .model import IDX_INNER, thermal_factors, thermal_populations
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class SteadyReport:
 
     delta is the population bias Delta, gamma the correction amplitude,
     lam the weight lambda and overlap = tr(rho_diag sigma), rho_diag the
-    thermal product; delta, lam and overlap do not depend on g.
+    thermal product: the dot product of their diagonals. delta, lam and
+    overlap do not depend on g; sigma and rho_f are complex 8x8 arrays.
     q_cool = q gamma E_c is the cooling rate Q_c.
     """
     delta: float
@@ -62,23 +63,24 @@ def rate_combos(p_c, p_r, p_h):
              (p_r * q_h + p_h * q_r) / p_c))
 
 
-def sigma_matrix(r, qs, Qs, y):
+def sigma_matrix(factors, qs, Qs, y):
     """The traceless Hermitian steady-state correction matrix sigma.
 
     sigma = Q_rh Zc x tau_r x tau_h + Q_ch tau_c x Zr x tau_h
           + Q_cr tau_c x tau_r x Zh + q_c tau_c x Z_rh
           + q_r (tau_r at the middle slot) Z_ch + q_h Z_cr x tau_h
           + Z_crh + y Y,
-    with (qs, Qs) from rate_combos, y = q/2g, Zc = Zh = diag(1, -1),
-    Zr = diag(-1, 1), Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh
-    on its own qubits, and Y = i|101><010| - i|010><101|. Every term but
-    the last is a diagonal product operator, built as a broadcast product
-    of the 2-vectors of model.thermal_factors and (1, -1); the sum is
-    sigma's diagonal and y Y its only off-diagonal pair.
+    with factors = model.thermal_factors(r), (qs, Qs) from rate_combos,
+    y = q/2g, Zc = Zh = diag(1, -1), Zr = diag(-1, 1),
+    Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh on its own qubits,
+    and Y = i|101><010| - i|010><101|. Every term but the last is a
+    diagonal product operator, built as a broadcast product of the factors
+    and (1, -1) on their (2, 2, 2) grid; the sum is sigma's diagonal and
+    y Y its only off-diagonal pair.
     """
     q_c, q_r, q_h = qs
     Q_cr, Q_ch, Q_rh = Qs
-    tc, tr, th = thermal_factors(r)
+    tc, tr, th = factors
     z = np.array([1.0, -1.0])
     zcrh = np.zeros((2, 2, 2))
     zcrh[0, 1, 0], zcrh[1, 0, 1] = 1.0, -1.0
@@ -113,7 +115,8 @@ def steady_state(params):
     equilibrium and at the Carnot point; the machine cools when Delta < 0,
     equivalently gamma = -Delta/(lambda + q^2/(2g^2)) > 0. The steady
     state does not depend on kappa (the generator is kappa-independent;
-    only the initial state is). Q_c = q*gamma*E_c.
+    only the initial state is). Q_c = q*gamma*E_c. FridgeError where
+    lambda + q^2/(2g^2) overflows (disparate rates, or a tiny g).
     """
     if params.g <= 0:
         raise ValueError("steady_state requires g > 0")
@@ -135,11 +138,16 @@ def steady_state(params):
           for j, k in ((0, 1), (0, 2), (1, 2))]
     lam = (2.0 + qs[0] + qs[1] + qs[2]
            + Qs[0] * om[0] + Qs[1] * om[1] + Qs[2] * om[2])
-    if not math.isfinite(lam):   # a rate ratio such as p_r/p_c overflowed
-        raise FridgeError("reset rates too disparate: lambda overflows")
-    gamma = -delta / (lam + q ** 2 / (2.0 * params.g ** 2))
-    rho_diag = thermal_product(r)
-    sigma = sigma_matrix(r, qs, Qs, q / (2.0 * params.g))
+    g2 = 2.0 * params.g ** 2   # 0.0 once g ** 2 underflows
+    den = lam + q ** 2 / g2 if g2 else math.inf
+    if not math.isfinite(den):   # a rate ratio or q^2/2g^2 overflowed
+        raise FridgeError("lambda + q^2/(2g^2) overflows: reset rates too "
+                          "disparate or g too small")
+    gamma = -delta / den
+    factors = thermal_factors(r)
+    tc, tr, th = factors
+    rho_diag = (tc * (tr * th)).ravel()
+    sigma = sigma_matrix(factors, qs, Qs, q / (2.0 * params.g))
     if params.T_c < params.T_r < params.T_h:
         eta_car = carnot_cop(params.T_c, params.T_r, params.T_h)
     else:
@@ -148,9 +156,9 @@ def steady_state(params):
         delta=delta,
         gamma=gamma,
         lam=lam,
-        overlap=float(np.diag(rho_diag).real @ np.diag(sigma).real),
+        overlap=float(rho_diag @ sigma.diagonal().real),
         sigma=sigma,
-        rho_f=rho_diag + gamma * sigma,
+        rho_f=np.diag(rho_diag) + gamma * sigma,
         q_cool=q * gamma * params.E_c,
         eta=params.eta,
         eta_carnot=eta_car,

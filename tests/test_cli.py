@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -270,6 +272,30 @@ def test_compute_error_exit_code(capsys):
     code = main(argv)
     assert code == EXIT_COMPUTE
     assert "computation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g", ["1e-160", "1e-200"])
+@pytest.mark.parametrize("command", ["steady", "qsl"])
+def test_tiny_g_is_a_computation_error(command, g, tmp_path, monkeypatch,
+                                       capsys):
+    # q^2/(2g^2) overflows: refused, not a traceback or a silent gamma = 0
+    monkeypatch.setenv("QFRIDGE_OUTDIR", str(tmp_path))
+    assert main([command] + FIG2 + ["--g", g]) == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: ") and err.count("\n") == 1
+
+
+def test_tiny_g_sweep_keeps_going(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = (["sweep"] + FIG2 + ["--knob", "g", "--log", "1e-200", "1e-150",
+                                "3", "--out", str(out)])
+    assert main(argv) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["warnings"].startswith("error: ") for r in rows] == [
+        True, True, False]
+    assert all(math.isnan(float(r["chi"])) for r in rows[:2])
+    assert float(rows[2]["chi"]) > 0
 
 
 def test_disparate_rates_are_computed(tmp_path, monkeypatch, capsys):

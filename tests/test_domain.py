@@ -1,16 +1,18 @@
-"""Steady-state invariants over the whole valid parameter domain, and the
-rate combinations against a 50-digit oracle where one rate dwarfs the
-others."""
+"""Steady-state invariants and the linearity of chi over the whole valid
+parameter domain, and a 50-digit oracle for gamma and Q_c where one rate
+dwarfs the others and for Delta near the Carnot point."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qfridge import CohSubspace, FridgeParams, qsl_time, steady_state
+from qfridge import (CohSubspace, FridgeParams, carnot_cop, qsl_time,
+                     steady_state)
 from qfridge.dynamics import heat_current_cold, liouvillian_apply
 from qfridge.model import thermal_populations
 from qfridge.steady import rate_combos
@@ -21,9 +23,10 @@ def _log_uniform(lo, hi):
 
 
 @st.composite
-def _params(draw):
+def _params(draw, coherent=True):
     sub = draw(st.sampled_from([None, CohSubspace.OUTER_DIAG,
-                                CohSubspace.INNER_DIAG]))
+                                CohSubspace.INNER_DIAG] if coherent
+                               else [None]))
     T_r = draw(_log_uniform(1.0, 100.0))
     return FridgeParams(
         E_c=draw(_log_uniform(1e-2, 10.0)), eta=draw(_log_uniform(1e-2, 10.0)),
@@ -56,9 +59,29 @@ def test_steady_state_invariants_over_the_domain(params):
         assert np.sign(qrep.chi) == -np.sign(rep.delta)
 
 
+def _chi(params):
+    return qsl_time(params, steady_state(params)).chi
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(_params(coherent=False), _log_uniform(1e-3, 1e3))
+def test_chi_is_linear_in_g_and_in_a_common_rate(params, s):
+    # at kappa = 0, chi = sqrt(2) q E_c g |Delta| / tr(rho_diag sigma) up to
+    # sign, and tr(rho_diag sigma) depends on the rates only through ratios
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = s * _chi(params)
+        assume(not math.isnan(ref))   # Delta = 0 (equal temperatures)
+        chi_g = _chi(replace(params, g=s * params.g))
+        chi_p = _chi(replace(params, p_c=s * params.p_c, p_r=s * params.p_r,
+                             p_h=s * params.p_h))
+    assert abs(chi_g - ref) <= 1e-13 * abs(ref)
+    assert abs(chi_p - ref) <= 1e-10 * abs(ref)
+
+
 def _oracle(params):
-    """(gamma, Q_c) at 50 digits from the textbook q - p_i denominators,
-    fed the same binary inputs as the library."""
+    """(Delta, gamma, Q_c) at 50 digits from the textbook q - p_i
+    denominators, fed the same binary inputs as the library."""
     with mpmath.workdps(50):
         E_c, g = mpmath.mpf(params.E_c), mpmath.mpf(params.g)
         ps = [mpmath.mpf(p) for p in params.ps]
@@ -74,7 +97,7 @@ def _oracle(params):
                                 for Q, (j, k) in zip(Qs, pairs))
         delta = r[0] * (1 - r[1]) * r[2] - (1 - r[0]) * r[1] * (1 - r[2])
         gamma = -delta / (lam + q ** 2 / (2 * g ** 2))
-        return gamma, q * gamma * E_c
+        return delta, gamma, q * gamma * E_c
 
 
 @pytest.mark.parametrize("p_small", [1e-20, 1e-17, 1e-14, 1e-10])
@@ -83,6 +106,19 @@ def test_gamma_and_q_cool_at_disparate_rates(p_small):
     params = FridgeParams(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
                           p_c=0.05, p_r=p_small, p_h=p_small, g=0.05)
     rep = steady_state(params)
-    gamma, q_cool = _oracle(params)
+    _, gamma, q_cool = _oracle(params)
     assert abs(rep.gamma - gamma) <= 1e-12 * abs(gamma)
     assert abs(rep.q_cool - q_cool) <= 1e-12 * abs(q_cool)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12, 1e-14])
+def test_delta_near_carnot(gap):
+    # Delta cancels as eta -> eta_Carnot, so its relative error may grow as
+    # eps/gap with gap = 1 - eta/eta_Carnot; its sign must never flip
+    eta = carnot_cop(1.0, 2.0, 10.0) * (1.0 - gap)
+    params = FridgeParams(E_c=1.0, eta=eta, T_c=1.0, T_r=2.0, T_h=10.0,
+                          p_c=0.05, p_r=0.05, p_h=0.05, g=0.05)
+    delta = steady_state(params).delta
+    exact = float(_oracle(params)[0])
+    assert np.sign(delta) == np.sign(exact) == -1.0
+    assert abs(delta - exact) <= 16 * np.finfo(float).eps / gap * abs(exact)

@@ -5,8 +5,7 @@ from qfridge import (CohSubspace, FridgeParams, PerturbativeRegimeWarning,
                      initial_state)
 from qfridge.linalg import tensor
 from qfridge.model import (IDX_INNER, IDX_OUTER, build_hamiltonian,
-                           coherence_matrix, ground_pop,
-                           interaction_hamiltonian, thermal_populations,
+                           coherence_matrix, ground_pop, thermal_populations,
                            thermal_product, thermal_qubit)
 from conftest import random_params
 
@@ -93,7 +92,7 @@ def test_thermal_qubit_shape():
 
 def test_hamiltonian_structure(cooling_params):
     H = build_hamiltonian(cooling_params)
-    V = interaction_hamiltonian(cooling_params)
+    V = H - np.diag(np.diag(H))
     assert np.allclose(H, H.conj().T, atol=1e-15)
     # off-diagonal part is exactly the two-element swap block
     expected_V = np.zeros((8, 8))

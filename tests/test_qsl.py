@@ -1,11 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from qfridge import (CohSubspace, NonCoolingWarning, bsocr,
+from qfridge import (CohSubspace, FridgeError, NonCoolingWarning,
+                     TrivialEvolutionWarning, UndefinedChiError, bsocr,
                      bsocr_coherent_coeffs, chi_from_g_form, initial_state,
                      qsl_time, steady_state, tradeoff_coeffs)
+from qfridge import qsl
 from qfridge.dynamics import liouvillian_apply
 from qfridge.linalg import trace_product
 from qfridge.qsl import bsocr_closed_equal_p, chi_from_p_form
@@ -79,6 +82,41 @@ def test_bsocr_convenience_and_warning(cooling_params, heating_params):
     with pytest.warns(NonCoolingWarning):
         chi = bsocr(heating_params)
     assert chi < 0    # signed in the heating regime
+
+
+# At kappa = 0 the generator norm is sqrt(2) g |Delta| and the purity gap
+# |gamma tr(rho_diag sigma)|, so zeroing Delta and gamma in a report drives
+# qsl_time's stationary branches.
+
+def test_stationary_start_gives_tau_zero(cooling_params):
+    rep = dataclasses.replace(steady_state(cooling_params), delta=0.0,
+                              gamma=0.0)
+    with pytest.warns(TrivialEvolutionWarning, match="stationary"):
+        qrep = qsl_time(cooling_params, rep)
+    assert qrep.tau == 0.0 and qrep.generator_norm == 0.0
+    assert math.isnan(qrep.chi)
+
+
+def test_zero_norm_with_a_gap_is_refused(cooling_params):
+    rep = dataclasses.replace(steady_state(cooling_params), delta=0.0)
+    with pytest.raises(FridgeError, match="inconsistent"):
+        qsl_time(cooling_params, rep)
+
+
+def test_start_coinciding_with_the_steady_state(cooling_params):
+    rep = dataclasses.replace(steady_state(cooling_params), gamma=0.0)
+    with pytest.warns(TrivialEvolutionWarning, match="coincides"):
+        qrep = qsl_time(cooling_params, rep)
+    assert qrep.tau == 0.0 and qrep.generator_norm > 0.0
+    assert math.isnan(qrep.chi)
+
+
+def test_bsocr_refuses_tau_zero(cooling_params, monkeypatch):
+    rep = dataclasses.replace(steady_state(cooling_params), gamma=0.0)
+    monkeypatch.setattr(qsl, "steady_state", lambda params: rep)
+    with pytest.warns(TrivialEvolutionWarning), \
+            pytest.raises(UndefinedChiError):
+        bsocr(cooling_params)
 
 
 # ----------------------------------------------------------------------

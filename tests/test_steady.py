@@ -7,7 +7,8 @@ from qfridge import FridgeError, FridgeParams, carnot_cop, steady_state
 from qfridge.dynamics import liouvillian_apply, liouvillian_matrix
 from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
                             trace_product)
-from qfridge.model import IDX_INNER, thermal_populations, thermal_qubit
+from qfridge.model import (IDX_INNER, thermal_factors, thermal_populations,
+                           thermal_qubit)
 from qfridge.steady import rate_combos, sigma_matrix
 from conftest import random_params
 
@@ -100,6 +101,15 @@ def test_overflowing_rate_ratio_is_refused():
         steady_state(p)
 
 
+@pytest.mark.parametrize("g", [1e-160, 1e-200])
+def test_tiny_g_is_refused(g):
+    # q^2/(2g^2) overflows at g = 1e-160, and g**2 underflows to 0 at 1e-200
+    p = FridgeParams(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
+                     p_c=0.05, p_r=0.05, p_h=0.05, g=g)
+    with pytest.raises(FridgeError, match="overflows"):
+        steady_state(p)
+
+
 # ----------------------------------------------------------------------
 # scalar pieces
 # ----------------------------------------------------------------------
@@ -160,8 +170,8 @@ def test_sigma_matrix_equals_the_embedded_terms(cooling_params,
     fixtures = [cooling_params, heating_params, unequal_rate_params]
     for params in fixtures + [random_params(rng) for _ in range(60)]:
         q, qs, Qs = rate_combos(*params.ps)
-        sigma = sigma_matrix(thermal_populations(params), qs, Qs,
-                             q / (2.0 * params.g))
+        sigma = sigma_matrix(thermal_factors(thermal_populations(params)),
+                             qs, Qs, q / (2.0 * params.g))
         assert np.array_equal(sigma, _sigma_by_embedding(params))
         assert np.array_equal(steady_state(params).sigma, sigma)
 
