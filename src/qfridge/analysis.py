@@ -318,6 +318,9 @@ def eta_opt_asymptotic(T_c, T_r, T_h):
     returned; for T_h >> T_r >> T_c with T_c/T_r ~ T_r/T_h it approaches
 
         eta_limit = (T_c/T_r) (1 - sqrt(T_c/T_h)).
+
+    Raises FridgeError unless exactly one branch lies inside the window,
+    which fails for many temperature triples outside that regime.
     """
     if not (0 < T_c < T_r < T_h):
         raise ValueError("temperatures must satisfy 0 < T_c < T_r < T_h")
@@ -332,9 +335,8 @@ def eta_opt_asymptotic(T_c, T_r, T_h):
     eta_limit = (T_c / T_r) * (1.0 - math.sqrt(T_c / T_h))
     eta_c = carnot_cop(T_c, T_r, T_h)
     inside = [e for e in candidates if 0.0 < e < eta_c]
-    if len(inside) == 1:
-        eta_exact = inside[0]
-    else:
-        # degenerate bracketing: pick the branch nearest the limit form
-        eta_exact = min(candidates, key=lambda e: abs(e - eta_limit))
-    return eta_exact, eta_limit
+    if len(inside) != 1:
+        raise FridgeError(f"{len(inside)} of the roots {candidates[0]:.6g}, "
+                          f"{candidates[1]:.6g} lie inside the cooling "
+                          f"window (0, {eta_c:.6g}), not one")
+    return inside[0], eta_limit

@@ -125,19 +125,24 @@ def _is_number(value):
 
 def _check_file_value(key, value, action):
     """A config-file value must be what its flag would parse to: a JSON
-    number for a numeric flag, a list of nargs numbers for a multi-value
-    one. 'grid' has no flag; it must be a non-empty list of numbers."""
+    number for a numeric flag, otherwise a string, one of the flag's
+    choices if it has any; a list of nargs of those for a multi-value
+    flag. 'grid' has no flag; it must be a non-empty list of numbers."""
     if action is None:
         want = "a non-empty list of numbers"
         ok = isinstance(value, list) and value and all(map(_is_number, value))
-    elif action.type not in (int, float):
-        return
-    elif action.nargs is None:
-        want, ok = "a number", _is_number(value)
     else:
-        want = f"a list of {action.nargs} numbers"
-        ok = (isinstance(value, list) and len(value) == action.nargs
-              and all(map(_is_number, value)))
+        numeric, choices = action.type in (int, float), action.choices
+        want = ("a number" if numeric else "a string" if choices is None
+                else f"one of {sorted(choices)}")
+        fits = _is_number if numeric else lambda v: (
+            isinstance(v, str) and (choices is None or v in choices))
+        if action.nargs is None:
+            ok = fits(value)
+        else:
+            want = f"a list of {action.nargs} items, each {want}"
+            ok = (isinstance(value, list) and len(value) == action.nargs
+                  and all(map(fits, value)))
     if not ok:
         raise ConfigError(f"config key {key!r} must be {want}, "
                           f"got {value!r}")
@@ -230,16 +235,14 @@ def parse_config(argv):
     if knob is None:
         raise ConfigError("sweep requires --knob (g, p_equal, eta, or kappa)")
     grid = _sweep_grid(settings)
-    seed_key = {"p_equal": "p"}.get(knob, knob)   # SweepSpec checks knob
+    seed_key = {"p_equal": "p"}.get(knob, knob)   # knob is one of KNOBS
     if settings.get(seed_key) is None:
         settings[seed_key] = grid[0]
     params = _build_params(settings)
-    outputs = settings.get("outputs")
-    if isinstance(outputs, str):
-        outputs = tuple(s.strip() for s in outputs.split(",") if s.strip())
+    outputs = [s.strip() for s in (settings.get("outputs") or "").split(",")]
     try:
         spec = SweepSpec(base=params, knob=knob, grid=grid,
-                         outputs=None if not outputs else tuple(outputs))
+                         outputs=tuple(filter(None, outputs)) or None)
     except ValueError as exc:
         raise ConfigError(str(exc))
     return RunConfig(command, settings, params, spec)

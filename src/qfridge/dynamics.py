@@ -67,12 +67,8 @@ def liouvillian_apply(params, rho):
         raise ValueError("liouvillian_apply: expected an 8x8 matrix")
     H = build_hamiltonian(params)
     out = -1j * (H @ rho - rho @ H)
-    r = thermal_populations(params)
-    for i, label in enumerate("crh"):
-        p = params.ps[i]
-        if p == 0:
-            continue
-        reset = embed(thermal_qubit(r[i]), partial_trace(rho, label), label)
+    for p, r_i, label in zip(params.ps, thermal_populations(params), "crh"):
+        reset = embed(thermal_qubit(r_i), partial_trace(rho, label), label)
         out = out + p * (reset - rho)
     return out
 
@@ -110,11 +106,8 @@ def default_dt(params):
 
 
 def default_t_end(params):
-    """Convergence horizon 50/min(p_i) (positive rates only)."""
-    ps = [p for p in params.ps if p > 0]
-    if not ps:
-        raise ValueError("default_t_end requires at least one positive reset rate")
-    return 50.0 / min(ps)
+    """Convergence horizon 50/min(p_i), all rates positive by FridgeParams."""
+    return 50.0 / min(params.ps)
 
 
 def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):

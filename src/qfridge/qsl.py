@@ -137,8 +137,6 @@ def bsocr(params):
 def _require_equal_p(params):
     if not (params.p_c == params.p_r == params.p_h):
         raise ValueError("closed form requires equal reset rates")
-    if params.p_c <= 0:
-        raise ValueError("closed form requires positive reset rates")
     return params.p_c
 
 

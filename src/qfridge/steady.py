@@ -116,13 +116,9 @@ def steady_state(params):
     equivalently gamma = -Delta/(lambda + q^2/(2g^2)) > 0. The steady
     state does not depend on kappa (the generator is kappa-independent;
     only the initial state is). Q_c = q*gamma*E_c. FridgeError where
-    lambda + q^2/(2g^2) overflows (disparate rates, or a tiny g).
+    lambda + q^2/(2g^2) overflows (disparate rates, or a tiny g), or
+    where g^2 or q^2 does (a huge g or rate).
     """
-    if params.g <= 0:
-        raise ValueError("steady_state requires g > 0")
-    for p in params.ps:
-        if p <= 0:
-            raise ValueError("steady_state requires all reset rates positive")
     q, qs, Qs = rate_combos(*params.ps)
     r = thermal_populations(params)
     r_c, r_r, r_h = r
@@ -138,8 +134,11 @@ def steady_state(params):
           for j, k in ((0, 1), (0, 2), (1, 2))]
     lam = (2.0 + qs[0] + qs[1] + qs[2]
            + Qs[0] * om[0] + Qs[1] * om[1] + Qs[2] * om[2])
-    g2 = 2.0 * params.g ** 2   # 0.0 once g ** 2 underflows
-    den = lam + q ** 2 / g2 if g2 else math.inf
+    try:   # ** raises where * would give inf; g2 = 0.0 once g ** 2 underflows
+        g2, q2 = 2.0 * params.g ** 2, q ** 2
+    except OverflowError:
+        raise FridgeError("g^2 or q^2 overflows (huge g or rate)") from None
+    den = lam + q2 / g2 if g2 else math.inf
     if not math.isfinite(den):   # a rate ratio or q^2/2g^2 overflowed
         raise FridgeError("lambda + q^2/(2g^2) overflows: reset rates too "
                           "disparate or g too small")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qfridge import (BoundaryMaximumError, FridgeParams,
+from qfridge import (BoundaryMaximumError, FridgeError, FridgeParams,
                      HighTemperatureValidityWarning, PoleError, SweepSpec,
                      bsocr, carnot_cop, chi_highT, eta_opt_asymptotic,
                      f_function, maximize_chi_over_eta, run_sweep)
@@ -33,6 +33,8 @@ def test_sweep_spec_validation(cooling_params):
         SweepSpec(base=cooling_params, knob="eta", grid=(0.5, 0.9))
     with pytest.raises(ValueError):   # kappa sweep needs a subspace
         SweepSpec(base=cooling_params, knob="kappa", grid=(0.0, 0.5))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SweepSpec(base=cooling_params, knob="kappa", grid=(0.5, 1.5))
     with pytest.raises(ValueError):
         SweepSpec(base=cooling_params, knob="g", grid=(0.01, 0.02),
                   outputs=("chi", "no_such_field"))
@@ -209,6 +211,12 @@ def test_f_function_explicit_value():
     assert f_function(eta, params) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.1])
+def test_f_function_needs_positive_eta(eta):
+    with pytest.raises(ValueError, match="eta must be positive"):
+        f_function(eta, _theorem_point())
+
+
 def test_f_function_pole():
     # x_c - x_r + x_h = (1) - (1/4)(1 + 1/0.2) + 1/(0.2 * 10) = 0 exactly
     params = FridgeParams(E_c=1.0, eta=0.2, T_c=1.0, T_r=4.0, T_h=10.0,
@@ -264,3 +272,9 @@ def test_eta_opt_asymptotic_locked_values():
 def test_eta_opt_asymptotic_validation():
     with pytest.raises(ValueError):
         eta_opt_asymptotic(30.0, 1.0, 900.0)
+
+
+def test_eta_opt_asymptotic_refuses_a_triple_with_no_root_inside():
+    # both branches, 0.0675 and 0.112, lie above eta_C = 0.0294
+    with pytest.raises(FridgeError, match="cooling window"):
+        eta_opt_asymptotic(6.63, 80.95, 120.70)

@@ -114,12 +114,20 @@ def test_malformed_config_file(tmp_path):
     ("sweep", "lin", [0.01, 0.03]),
     ("optimize", "bracket", ["a", "b"]),
     ("optimize", "bracket", 0.3),
+    ("steady", "out", ["x.csv"]),
+    ("sweep", "knob", ["g"]),
+    ("sweep", "outputs", 5),
+    ("steady", "subspace", ["outer_diag"]),
+    ("steady", "subspace", "middle"),
 ], ids=["t_end-str", "store_every-str", "dt-bool", "g-bool", "grid-str-item",
         "grid-str", "grid-empty", "log-str-item", "lin-short",
-        "bracket-str-items", "bracket-scalar"])
+        "bracket-str-items", "bracket-scalar", "out-list", "knob-list",
+        "outputs-int", "subspace-list", "subspace-not-a-choice"])
 def test_config_value_of_the_wrong_type(tmp_path, capsys, command, key,
                                         value):
-    # the file's value must be what the flag would parse to
+    # the file's value must be what the flag would parse to (an integer
+    # 'out' is never tried in-process: open() would take it for a file
+    # descriptor of the test process)
     path = tmp_path / "run.json"
     path.write_text(json.dumps({key: value}))
     argv = [command, "--config", str(path)]
@@ -132,6 +140,24 @@ def test_config_value_of_the_wrong_type(tmp_path, capsys, command, key,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config key {key!r} must be ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _config_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]"],
+                         ids=["missing-file", "json-array"])
+def test_unusable_config_file_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ["steady", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+    assert main(argv + FIG2) == EXIT_CONFIG
+    assert _config_error_line(capsys)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_physics_validation_becomes_config_error():
@@ -160,6 +186,50 @@ def test_unknown_sweep_knob_in_config_file(tmp_path):
     path.write_text(json.dumps({"knob": "bogus", "grid": [0.01, 0.02]}))
     with pytest.raises(ConfigError, match="bogus"):
         parse_config(["sweep", "--config", str(path)] + FIG2)
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_sweep_outputs_select_columns(tmp_path, via_config):
+    out, path = tmp_path / "sweep.csv", tmp_path / "run.json"
+    argv = (["sweep", "--knob", "g", "--log", "1e-3", "1e-1", "3"] + FIG2
+            + ["--out", str(out)])
+    if via_config:
+        path.write_text(json.dumps({"outputs": "chi,tau"}))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--outputs", "chi,tau"]
+    assert main(argv) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["knob_value", "tau", "chi", "warnings"]
+    assert len(rows) == 4 and all(len(row) == 4 for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--knob", "g", "--log", "0", "1", "3"] + FIG2,
+    ["--knob", "g", "--lin", "0.01", "0.03", "2.5"] + FIG2,
+    ["--knob", "g", "--lin", "0.01", "0.03", "0"] + FIG2,
+    ["--log", "1e-3", "1e-1", "3"] + FIG2,
+    # the omitted swept value is seeded from the grid start, here g = 0
+    ["--knob", "g", "--lin", "0", "0.1", "3"] + FIG2[:-2],
+], ids=["log-from-zero", "fractional-count", "zero-count", "no-knob",
+        "zero-seed"])
+def test_sweep_refusal_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep"] + argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert _config_error_line(capsys)
+    assert not out.exists()
+
+
+def test_sweep_grid_zero_past_the_seed_is_an_error_row(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = (["sweep", "--knob", "g", "--lin", "0", "0.1", "3"] + FIG2
+            + ["--out", str(out)])
+    assert main(argv) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["warnings"] == "error: g must be positive"
+    assert all(float(r["chi"]) > 0 for r in rows[1:])
 
 
 def test_sweep_seeds_swept_parameter():
@@ -256,7 +326,10 @@ def test_config_error_exit_code(capsys):
     ["qsl"] + FIG2 + ["--p", "0"],
     ["optimize"] + FIG2 + ["--bracket", "0.3", "0.1"],
     ["evolve"] + FIG2 + ["--dt", "5"],
-], ids=["steady-g0", "qsl-p0", "optimize-bracket", "evolve-dt"])
+    ["evolve"] + FIG2 + ["--g", "0"],
+    ["optimize"] + FIG2 + ["--pr", "0"],
+], ids=["steady-g0", "qsl-p0", "optimize-bracket", "evolve-dt", "evolve-g0",
+        "optimize-pr0"])
 def test_library_refusal_is_a_config_error(argv, tmp_path, monkeypatch,
                                            capsys):
     monkeypatch.setenv("QFRIDGE_OUTDIR", str(tmp_path))
@@ -296,6 +369,31 @@ def test_tiny_g_sweep_keeps_going(tmp_path):
         True, True, False]
     assert all(math.isnan(float(r["chi"])) for r in rows[:2])
     assert float(rows[2]["chi"]) > 0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--g", "1e155"), ("--g", "1e200"), ("--p", "1e200"), ("--pc", "1e200")])
+@pytest.mark.parametrize("command", ["steady", "qsl"])
+def test_huge_g_or_rate_is_a_computation_error(command, flag, value,
+                                               tmp_path, monkeypatch,
+                                               capsys):
+    # g ** 2 or q ** 2 overflows: refused, not an OverflowError traceback
+    monkeypatch.setenv("QFRIDGE_OUTDIR", str(tmp_path))
+    assert main([command] + FIG2 + [flag, value]) == EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith("computation error: ") and err.count("\n") == 1
+
+
+def test_huge_g_sweep_keeps_going(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = (["sweep"] + FIG2 + ["--knob", "g", "--log", "1e-2", "1e200",
+                                "3", "--out", str(out)])
+    assert main(argv) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["warnings"].startswith("error: ") for r in rows] == [
+        False, False, True]
+    assert all(math.isfinite(float(r["chi"])) for r in rows[:2])
 
 
 def test_disparate_rates_are_computed(tmp_path, monkeypatch, capsys):

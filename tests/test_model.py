@@ -31,6 +31,8 @@ def _base(**kw):
     # non-finite values
     dict(p_c=np.nan), dict(p_r=np.nan), dict(p_h=np.nan), dict(g=np.nan),
     dict(E_c=np.inf), dict(T_h=np.inf), dict(E_c="1"),
+    # no steady cooling current without coupling or a reset channel
+    dict(p_c=0.0), dict(p_r=0.0), dict(p_h=0.0), dict(g=0.0),
 ])
 def test_invalid_params_rejected(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):

@@ -84,15 +84,6 @@ def test_reset_combos_heat_current_identity(rng):
         assert pc * (1.0 + q_r + q_h + Q_rh) == pytest.approx(q, rel=1e-12)
 
 
-def test_zero_rate_rejected_at_solve_time():
-    # a vanishing rate passes construction (it is merely nonnegative) but
-    # violates the solver precondition that every reset rate be positive
-    p = FridgeParams(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
-                     p_c=0.0, p_r=0.05, p_h=0.05, g=0.05)
-    with pytest.raises(ValueError, match="positive"):
-        steady_state(p)
-
-
 def test_overflowing_rate_ratio_is_refused():
     # Q_rh = (p_r q_h + p_h q_r)/p_c overflows for a subnormal p_c
     p = FridgeParams(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
