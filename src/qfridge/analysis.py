@@ -114,17 +114,13 @@ def run_sweep(spec):
                              **dict.fromkeys(KNOBS[spec.knob], value))
                 srep = steady_state(pt)
                 qrep = qsl_time(pt, srep)
-                row = SweepRecord(
-                    knob_value=value, q_cool=srep.q_cool, tau=qrep.tau,
-                    chi=qrep.chi, gamma=srep.gamma, delta=srep.delta,
-                    is_fridge=srep.is_fridge, warnings=())
+                values = (srep.q_cool, qrep.tau, qrep.chi, srep.gamma,
+                          srep.delta, srep.is_fridge)
+                notes = ()
             except (FridgeError, ValueError) as exc:
-                nan = float("nan")
-                row = SweepRecord(
-                    knob_value=value, q_cool=nan, tau=nan, chi=nan,
-                    gamma=nan, delta=nan, is_fridge=False,
-                    warnings=(f"error: {exc}",))
-        records.append(replace(row, warnings=row.warnings + tuple(
+                values = (float("nan"),) * 5 + (False,)
+                notes = (f"error: {exc}",)
+        records.append(SweepRecord(value, *values, notes + tuple(
             str(w.message) for w in caught)))
     return records
 

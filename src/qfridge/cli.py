@@ -51,23 +51,27 @@ class RunConfig:
 # parsing
 # ----------------------------------------------------------------------
 
+# parameter flags: flag dest, the FridgeParams field it sets, help text
+_PARAM_FLAGS = (
+    ("Ec", "E_c", "cold qubit energy E_c"),
+    ("eta", "eta", "design efficiency E_c/E_h"),
+    ("Tc", "T_c", "cold bath temperature"),
+    ("Tr", "T_r", "room bath temperature"),
+    ("Th", "T_h", "hot bath temperature"),
+    ("p", None, "shorthand: all three reset rates"),
+    ("pc", "p_c", "cold qubit reset rate"),
+    ("pr", "p_r", "room qubit reset rate"),
+    ("ph", "p_h", "hot qubit reset rate"),
+    ("g", "g", "three-body interaction strength"),
+    ("kappa", "kappa", "initial coherence strength in [0, 1]"))
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE",
                         help="JSON file with flat key-value settings; "
                              "flags override file values")
-    for key, help_text in (
-            ("Ec", "cold qubit energy E_c"),
-            ("eta", "design efficiency E_c/E_h"),
-            ("Tc", "cold bath temperature"),
-            ("Tr", "room bath temperature"),
-            ("Th", "hot bath temperature"),
-            ("p", "shorthand: all three reset rates"),
-            ("pc", "cold qubit reset rate"),
-            ("pr", "room qubit reset rate"),
-            ("ph", "hot qubit reset rate"),
-            ("g", "three-body interaction strength"),
-            ("kappa", "initial coherence strength in [0, 1]")):
+    for key, _, help_text in _PARAM_FLAGS:
         common.add_argument(f"--{key}", type=float, default=None,
                             help=help_text)
     common.add_argument("--subspace",
@@ -177,24 +181,25 @@ def _settings(args):
     return command, settings
 
 
-_PARAM_FIELDS = (("E_c", "Ec"), ("eta", "eta"), ("T_c", "Tc"),
-                 ("T_r", "Tr"), ("T_h", "Th"), ("p_c", "pc"),
-                 ("p_r", "pr"), ("p_h", "ph"), ("g", "g"))
-
-
-def _build_params(settings):
+def _build_params(settings, seed=None):
+    """FridgeParams from the settings. A rate not given takes the p
+    shorthand; a field still unset takes its value in `seed` (FridgeParams
+    field -> value), and kappa defaults to 0."""
     fields = {}
-    for field, key in _PARAM_FIELDS:
+    for key, field, _ in _PARAM_FLAGS:
+        if field is None:   # the p shorthand, read by the rates
+            continue
         value = settings.get(key)
-        if value is None and key in ("pc", "pr", "ph"):
+        if value is None and field in KNOBS["p_equal"]:
             value, key = settings.get("p"), f"{key} (or the p shorthand)"
         if value is None:
+            value = (seed or {}).get(field)
+        if value is not None:
+            fields[field] = value
+        elif field != "kappa":
             raise ConfigError(f"missing required parameter {key!r}")
-        fields[field] = value
-    kappa = settings.get("kappa")
     try:
-        return FridgeParams(**fields, kappa=0.0 if kappa is None else kappa,
-                            coh_subspace=settings.get("subspace"))
+        return FridgeParams(**fields, coh_subspace=settings.get("subspace"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -235,10 +240,7 @@ def parse_config(argv):
     if knob is None:
         raise ConfigError("sweep requires --knob (g, p_equal, eta, or kappa)")
     grid = _sweep_grid(settings)
-    seed_key = {"p_equal": "p"}.get(knob, knob)   # knob is one of KNOBS
-    if settings.get(seed_key) is None:
-        settings[seed_key] = grid[0]
-    params = _build_params(settings)
+    params = _build_params(settings, dict.fromkeys(KNOBS[knob], grid[0]))
     outputs = [s.strip() for s in (settings.get("outputs") or "").split(",")]
     try:
         spec = SweepSpec(base=params, knob=knob, grid=grid,

@@ -44,7 +44,9 @@ class FridgeParams:
     Every numeric field must be a finite real number, and g and the reset
     rates p_i positive: at g = 0 or p_i = 0 there is no steady cooling
     current and chi = Q_c/tau is 0/0. This is the one place the machine's
-    domain is checked; the solvers rely on it.
+    domain is checked; the solvers rely on it. g or a rate at or above
+    0.1 E_c warns PerturbativeRegimeWarning, located at the line that
+    built the FridgeParams (dataclasses.py through dataclasses.replace).
     """
     E_c: float
     eta: float
@@ -84,7 +86,7 @@ class FridgeParams:
             warnings.warn(
                 "parameters outside the perturbative regime "
                 "(g or max p_i >= 0.1 E_c); local reset description is approximate",
-                PerturbativeRegimeWarning, stacklevel=2)
+                PerturbativeRegimeWarning, stacklevel=3)
 
     # derived energies -------------------------------------------------
     @property

@@ -206,7 +206,8 @@ def bsocr_coherent_coeffs(params):
     pi2 = tr(rho0_diag mu + mu^2), through their exact reductions: pi1 is
     the steady overlap, pi2 = 2 a^2, n1 = 18 a^2, n2 = 0 and n3 as in
     _initial_speed. Raises PoleError at Delta = 0 where the reset-rate-form
-    denominators lose meaning.
+    denominators lose meaning, and FridgeError where g^4 or q^4 overflows
+    (g or q above ~1e77), as steady_state does for g^2 and q^2.
     """
     _require_equal_p(params)
     steady = steady_state(params)
@@ -220,8 +221,12 @@ def bsocr_coherent_coeffs(params):
     n1 = 9.0 * pi2
     n2 = 0.0
     n3 = 2.0 * (gd2 + a2 * w2)
+    try:   # ** raises where * would give inf
+        g4, q4 = g ** 4, q ** 4
+    except OverflowError:
+        raise FridgeError("g^4 or q^4 overflows (huge g or rate)") from None
 
-    d1 = 81.0 * pi2 ** 2 / (4.0 * g ** 4 * delta ** 2)
+    d1 = 81.0 * pi2 ** 2 / (4.0 * g4 * delta ** 2)
     d2 = 18.0 * (pi1 + lam * pi2 / delta) * pi2 / (2.0 * g ** 2 * delta)
     d3 = (pi1 + lam * pi2 / delta) ** 2
 
@@ -233,7 +238,7 @@ def bsocr_coherent_coeffs(params):
     base = delta * pi1 + lam * pi2
     d1g = 4.0 * base ** 2
     d2g = 4.0 * base * q ** 2 * pi2
-    d3g = q ** 4 * pi2 ** 2
+    d3g = q4 * pi2 ** 2
     return CoherentCoeffs(n1, n2, n3, d1, d2, d3,
                           n1g, n2g, n3g, d1g, d2g, d3g)
 

@@ -8,6 +8,7 @@ analysis that the implemented physics demonstrably does not satisfy
 not fail a build. Any FAIL does.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -146,17 +147,27 @@ def check_steady_state():
 # criterion 2: integrator convergence and fourth-order error scaling
 # ----------------------------------------------------------------------
 
+@functools.cache
+def _default_run(name):
+    """Criteria 2 and 5's default-grid run of a named set: its speed-limit
+    report, stored times and cold currents, final trace distance to rho_f
+    and t_eps at eps = 1e-3 (no state stack)."""
+    pp = dict(_NAMED_SETS)[name]()
+    srep = steady_state(pp)
+    traj = evolve(pp)
+    return (qsl_time(pp, srep), traj.times, traj.currents,
+            trace_distance(traj.states[-1], srep.rho_f),
+            convergence_time(traj, srep.rho_f, eps=1e-3))
+
+
 def check_dynamics_convergence():
     results = []
-    for name, ctor in _NAMED_SETS:
-        pp = ctor()
-        srep = steady_state(pp)
-        traj = evolve(pp)
-        dist = trace_distance(traj.states[-1], srep.rho_f)
+    for name, _ in _NAMED_SETS:
+        _, times, _, dist, _ = _default_run(name)
         results.append(_res(
             "2", f"convergence at {name}",
             dist <= 1e-6,
-            f"trace distance {dist:.2e} at t = {traj.times[-1]:.0f} "
+            f"trace distance {dist:.2e} at t = {times[-1]:.0f} "
             "= 50/min(p) (<= 1e-6)"))
     pp = coupling_sweep_params(kappa=1.0, sub=CohSubspace.OUTER_DIAG)
     rho0 = initial_state(pp)
@@ -245,22 +256,12 @@ def check_tradeoff_identity():
 # criterion 5: speed limit below convergence time; average power bound
 # ----------------------------------------------------------------------
 
-def _power_samples(pp):
-    srep = steady_state(pp)
-    qrep = qsl_time(pp, srep)
-    traj = evolve(pp)
-    ts = np.array(traj.times)
-    js = np.array(traj.currents)
-    mask = ts >= max(qrep.tau, ts[1])
-    return srep, qrep, traj, ts[mask], js[mask] / ts[mask]
-
-
 def check_speed_limit_bounds():
     results = []
-    for name, ctor in _NAMED_SETS:
-        pp = ctor()
-        srep, qrep, traj, ts, pbar = _power_samples(pp)
-        t_eps = convergence_time(traj, srep.rho_f, eps=1e-3)
+    for name, _ in _NAMED_SETS:
+        qrep, ts, js, _, t_eps = _default_run(name)
+        mask = ts >= max(qrep.tau, ts[1])
+        pbar = js[mask] / ts[mask]
         results.append(_res(
             "5", f"tau <= t_eps at {name}",
             qrep.tau <= t_eps,
@@ -321,32 +322,25 @@ def check_heat_current_identity():
 COHERENCE_GRID = tuple(np.linspace(0.04, 0.1, 13))
 
 
-def _chi_kappa(g, kappa, sub):
-    return bsocr(coupling_sweep_params(g=g, kappa=kappa, sub=sub))
-
-
 def check_coherence_boost():
     outer, inner = CohSubspace.OUTER_DIAG, CohSubspace.INNER_DIAG
-    c0, c5o, c1o, c5i, c1i = [], [], [], [], []
-    for g in COHERENCE_GRID:
-        c0.append(_chi_kappa(g, 0.0, None))
-        c5o.append(_chi_kappa(g, 0.5, outer))
-        c1o.append(_chi_kappa(g, 1.0, outer))
-        c5i.append(_chi_kappa(g, 0.5, inner))
-        c1i.append(_chi_kappa(g, 1.0, inner))
+    c0, c5o, c1o, c5i, c1i = (
+        np.array([bsocr(coupling_sweep_params(g=g, kappa=kappa, sub=sub))
+                  for g in COHERENCE_GRID])
+        for kappa, sub in ((0.0, None), (0.5, outer), (1.0, outer),
+                           (0.5, inner), (1.0, inner)))
     n = len(COHERENCE_GRID)
-    arr = lambda x: np.array(x)
     results = []
 
-    half_beats_none = int(np.sum(arr(c5o) > arr(c0)))
-    full_beats_none = int(np.sum(arr(c1o) > arr(c0)))
+    half_beats_none = int(np.sum(c5o > c0))
+    full_beats_none = int(np.sum(c1o > c0))
     results.append(_res(
         "7", "coherent start beats diagonal start (outer subspace)",
         half_beats_none == n and full_beats_none == n,
         f"chi(0.5) > chi(0) at {half_beats_none}/{n} grid points, "
         f"chi(1) > chi(0) at {full_beats_none}/{n}"))
 
-    full_beats_half = int(np.sum(arr(c1o) > arr(c5o)))
+    full_beats_half = int(np.sum(c1o > c5o))
     status = KNOWN if full_beats_half == 0 else (
         PASS if full_beats_half == n else FAIL)
     results.append(CheckResult(
@@ -355,8 +349,7 @@ def check_coherence_boost():
         "NOT monotone in kappa - it peaks near kappa ~ 0.06 at g = 0.05 "
         "(0.173 there vs 0.040 at kappa = 0.5 and 0.020 at kappa = 1)"))
 
-    outer_beats_inner = int(np.sum((arr(c1o) > arr(c1i))
-                                   & (arr(c5o) > arr(c5i))))
+    outer_beats_inner = int(np.sum((c1o > c1i) & (c5o > c5i)))
     results.append(_res(
         "7", "outer subspace beats inner subspace at equal kappa",
         outer_beats_inner == n,

@@ -111,6 +111,24 @@ def test_regression_locks():
     _run(verify.check_regression_locks)
 
 
+def test_criteria_2_and_5_integrate_each_named_set_once(monkeypatch):
+    default_runs = []
+
+    def counting_evolve(params, **kw):
+        if not kw:   # the default grid; the step-halving check passes one
+            default_runs.append(params)
+        return evolve(params, **kw)
+
+    monkeypatch.setattr(verify, "evolve", counting_evolve)
+    verify._default_run.cache_clear()
+    verify.check_steady_state()
+    verify.check_generator_plumbing()
+    assert default_runs == []   # criteria 1 and 10 need no trajectory
+    verify.check_dynamics_convergence()
+    verify.check_speed_limit_bounds()
+    assert len(default_runs) == 4
+
+
 # ----------------------------------------------------------------------
 # literal readings the model demonstrably does not satisfy
 # ----------------------------------------------------------------------

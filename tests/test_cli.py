@@ -212,8 +212,10 @@ def test_sweep_outputs_select_columns(tmp_path, via_config):
     ["--log", "1e-3", "1e-1", "3"] + FIG2,
     # the omitted swept value is seeded from the grid start, here g = 0
     ["--knob", "g", "--lin", "0", "0.1", "3"] + FIG2[:-2],
+    # eta_Carnot = 0.8 at the README set: SweepSpec refuses the grid
+    ["--knob", "eta", "--lin", "0.1", "0.9", "3"] + FIG2,
 ], ids=["log-from-zero", "fractional-count", "zero-count", "no-knob",
-        "zero-seed"])
+        "zero-seed", "eta-past-carnot"])
 def test_sweep_refusal_is_a_config_error(tmp_path, capsys, argv):
     out = tmp_path / "sweep.csv"
     assert main(["sweep"] + argv + ["--out", str(out)]) == EXIT_CONFIG
@@ -239,6 +241,22 @@ def test_sweep_seeds_swept_parameter():
             "--Th", "10", "--p", "0.05"]
     cfg = parse_config(argv)
     assert cfg.params.g == pytest.approx(1e-3)
+    # p_equal with only --pc given: the seed fills the two other rates
+    argv = ["sweep", "--knob", "p_equal", "--log", "1e-3", "1e-1", "3",
+            "--Ec", "1", "--eta", "0.5", "--Tc", "1", "--Tr", "2",
+            "--Th", "10", "--g", "0.05", "--pc", "0.02"]
+    cfg = parse_config(argv)
+    assert cfg.params.ps == (0.02, cfg.sweep.grid[0], cfg.sweep.grid[0])
+
+
+def test_sweep_config_grid_used_as_given(tmp_path):
+    out, path = tmp_path / "sweep.csv", tmp_path / "run.json"
+    path.write_text(json.dumps({"knob": "g", "grid": [0.01, 0.02, 0.04]}))
+    argv = ["sweep", "--config", str(path), "--out", str(out)] + FIG2
+    assert main(argv) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["knob_value"]) for r in rows] == [0.01, 0.02, 0.04]
 
 
 # ----------------------------------------------------------------------

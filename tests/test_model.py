@@ -47,8 +47,9 @@ def test_coherence_needs_subspace():
 
 
 def test_perturbative_regime_warning():
-    with pytest.warns(PerturbativeRegimeWarning):
+    with pytest.warns(PerturbativeRegimeWarning) as record:
         _base(g=0.1)
+    assert record[0].filename == __file__   # the caller, not <string>
     with pytest.warns(PerturbativeRegimeWarning):
         _base(p_h=0.1)
 

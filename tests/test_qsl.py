@@ -188,6 +188,19 @@ def test_coherent_coeffs_require_equal_rates(unequal_rate_params):
         bsocr_coherent_coeffs(unequal_rate_params)
 
 
+@pytest.mark.parametrize("huge", [dict(g=1e100),
+                                  dict(p_c=1e100, p_r=1e100, p_h=1e100)],
+                         ids=["g", "p"])
+def test_coherent_coeffs_overflow_is_a_fridge_error(cooling_params, huge):
+    base = dataclasses.replace(cooling_params, kappa=0.5,
+                               coh_subspace=CohSubspace.OUTER_DIAG)
+    params = dataclasses.replace(base, **huge)
+    steady_state(params)   # succeeds: only the fourth powers overflow
+    with pytest.raises(FridgeError, match="overflows"):
+        bsocr_coherent_coeffs(params)
+    assert bsocr_coherent_coeffs(dataclasses.replace(base, g=1e70)).d1 > 0
+
+
 # ----------------------------------------------------------------------
 # trade-off coefficients
 # ----------------------------------------------------------------------
