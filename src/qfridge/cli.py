@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .dynamics import evolve
 from .qsl import qsl_time
 from .analysis import (KNOBS, SweepSpec, maximize_chi_over_eta, run_sweep,
                        write_sweep_csv)
-from .verify import FAIL, format_report, run_all_checks
 
 OUTDIR_ENV = "QFRIDGE_OUTDIR"
 
@@ -265,12 +265,11 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def _write_csv(config, default_name, header, rows):
+def _write_csv(config, default_name, header, lines):
     path = _out_path(config, default_name)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
     print(f"wrote {path}")
 
 
@@ -284,9 +283,9 @@ def _run_steady(config):
     print(f"is_fridge    = {srep.is_fridge}")
     _write_csv(config, "steady.csv",
                "delta,gamma,Q_c,eta,eta_carnot,is_fridge",
-               [[_fmt(srep.delta), _fmt(srep.gamma), _fmt(srep.q_cool),
-                 _fmt(srep.eta), _fmt(srep.eta_carnot),
-                 "%d" % srep.is_fridge]])
+               ["%.17g,%.17g,%.17g,%.17g,%.17g,%d"
+                % (srep.delta, srep.gamma, srep.q_cool, srep.eta,
+                   srep.eta_carnot, srep.is_fridge)])
     return EXIT_OK
 
 
@@ -297,8 +296,8 @@ def _run_qsl(config):
     print(f"generator_norm = {_fmt(rep.generator_norm)}")
     print(f"chi            = {_fmt(rep.chi)}")
     _write_csv(config, "qsl.csv", "tau,purity_gap,generator_norm,chi",
-               [[_fmt(rep.tau), _fmt(rep.purity_gap),
-                 _fmt(rep.generator_norm), _fmt(rep.chi)]])
+               ["%.17g,%.17g,%.17g,%.17g"
+                % (rep.tau, rep.purity_gap, rep.generator_norm, rep.chi)])
     return EXIT_OK
 
 
@@ -308,9 +307,11 @@ def _run_evolve(config):
     traj = evolve(config.params, t_end=s.get("t_end"), dt=s.get("dt"),
                   store_every=s.get("store_every"))
     dists = trace_distance(traj.states, srep.rho_f)
-    rows = [[_fmt(t), _fmt(current), _fmt(dist),
-             _fmt(current / t if t > 0 else 0.0)]
-            for t, current, dist in zip(traj.times, traj.currents, dists)]
+    power = np.divide(traj.currents, traj.times, where=traj.times > 0,
+                      out=np.zeros_like(traj.currents))
+    rows = ["%.17g,%.17g,%.17g,%.17g" % row
+            for row in zip(traj.times.tolist(), traj.currents.tolist(),
+                           dists.tolist(), power.tolist())]
     print(f"evolved to t = {_fmt(traj.times[-1])} in {len(traj)} stored "
           f"samples; final trace distance to steady state {dists[-1]:.3e}")
     _write_csv(config, "trajectory.csv",
@@ -343,6 +344,8 @@ def _run_optimize(config):
 
 
 def _run_verify(_config):
+    # imported here: no other command needs the acceptance suite
+    from .verify import FAIL, format_report, run_all_checks
     results = run_all_checks()
     print(format_report(results))
     failed = any(r.status == FAIL for r in results)
@@ -376,12 +379,24 @@ def run(config):
 
 
 def main(argv=None):
-    try:
-        config = parse_config(argv if argv is not None else sys.argv[1:])
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return run(config)
+    """Parse and run one command; returns the exit code.
+
+    Warnings from parsing or running pass the active filters as usual (so
+    `-W error::RuntimeWarning` still raises) and each distinct one is
+    printed once on stderr as `warning: <Category>: <message>`.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            config = parse_config(argv if argv is not None else sys.argv[1:])
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            code = EXIT_CONFIG
+        else:
+            code = run(config)
+    for line in dict.fromkeys(f"warning: {w.category.__name__}: {w.message}"
+                              for w in caught):
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

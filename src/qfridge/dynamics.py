@@ -9,12 +9,18 @@ Taylor polynomial of the step propagator,
 
     R(dt) = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24,
 
-applied to vec(rho). evolve() therefore precomputes R once, and from it
-P = R^store_every (about 2 log2(store_every) 64x64 products), and advances
-the 64-vector with a single matvec per stored sample; a grid whose step
-count is not a multiple of store_every ends with one R^remainder. A unit
-test pins R to the textbook k1..k4 step built from liouvillian_apply to
-~1e-15, and the stored samples to a step-by-step loop of it.
+applied to vec(rho). The generator never mixes the four 16-dim sectors of
+matrix units |a><b| with a^b in {d, d^7}, d = 0..3: resets keep a^b and
+the swap |010><101| flips it by 7. evolve() builds, for each sector rho0
+occupies, the 16x16 block of L (liouvillian_apply on the sector's units),
+its R and P = R^store_every, and fills each run of up to CHUNK stored
+samples with one product by the stack P, P^2, ...; a grid whose step
+count is not a multiple of store_every ends with one R^remainder. Every
+state the library builds lies in sector 0, a direct sum of 2x2 blocks on
+the pairs (a, a^7), so its drift checks and trace distances take
+closed-form spectra (linalg.hermitian_eigvals). Unit tests pin R to the
+textbook k1..k4 step built from liouvillian_apply to ~1e-15, and the
+stored samples to step-by-step loops of it and of liouvillian_matrix.
 """
 
 import os
@@ -23,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .linalg import embed, partial_trace, trace_distance
+from .linalg import (embed, hermitian_eigvals, partial_trace,
+                     trace_distance)
 from .model import (build_hamiltonian, initial_state, thermal_populations,
                     thermal_qubit)
 
@@ -34,6 +41,14 @@ MIN_EIG_TOL = -1e-8
 
 # bytes per stored sample: a complex 8x8 state and its time
 SAMPLE_BYTES = 64 * 16 + 8
+
+# flat indices 8a + b of the matrix units |a><b| in each of the four
+# sectors a^b in {d, d^7}, d = 0..3, that the generator never mixes
+SECTORS = np.array([[8 * a + b for a in range(8) for b in (a ^ d, a ^ d ^ 7)]
+                    for d in range(4)])
+
+# stored samples filled by one batched product
+CHUNK = 64
 
 
 @dataclass
@@ -122,9 +137,11 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     positive integer (default keeps about 4000 samples); the final state
     is always stored, at exactly t_end. A stored stack larger than the
     machine's physical memory raises ValueError before any allocation.
-    Each stored sample costs one matvec with the precomputed
-    R^store_every. Trace, Hermiticity, and positivity drift are checked
-    at the stored samples; exceeding the thresholds raises
+    Only the sectors rho0 occupies are propagated, each with its own R,
+    CHUNK stored samples per batched product. Trace, Hermiticity, and
+    positivity drift are checked at the stored samples (closed-form
+    spectra when they are sector-0, as from every library-built rho0);
+    exceeding the thresholds raises
     IntegrationError for the earliest failing sample, naming the remedy:
     fewer, larger steps for trace or Hermiticity drift (round-off, as R
     preserves both exactly), a smaller dt for a negative eigenvalue. The
@@ -156,14 +173,6 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
         raise ValueError("evolve: store_every must be a positive integer")
     store_every = int(store_every)
 
-    L = liouvillian_matrix(params)
-    A = dt * L
-    R = np.eye(64, dtype=complex)
-    term = np.eye(64, dtype=complex)
-    for k in range(1, 5):
-        term = term @ A / k
-        R = R + term
-
     n_full, rest = divmod(n_steps, store_every)
     n_samples = n_full + 1 + bool(rest)
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -174,13 +183,38 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     steps = np.arange(n_full + 1) * store_every
     if rest:
         steps = np.append(steps, n_steps)
-    states = np.empty((len(steps), 64), dtype=complex)
-    states[0] = rho0.ravel()
-    P = np.linalg.matrix_power(R, store_every)
-    for n in range(1, n_full + 1):
-        np.matmul(P, states[n - 1], out=states[n])
-    if rest:
-        states[-1] = np.linalg.matrix_power(R, rest) @ states[-2]
+    states = np.zeros((len(steps), 64), dtype=complex)
+    vec0 = rho0.ravel()
+    m = min(CHUNK, n_full)
+    for idx in SECTORS:
+        v = vec0[idx]
+        if not v.any():
+            continue
+        units = np.eye(64, dtype=complex)[idx].reshape(16, 8, 8)
+        A = dt * liouvillian_apply(params, units).reshape(16, 64)[:, idx].T
+        R = np.eye(16, dtype=complex)
+        term = np.eye(16, dtype=complex)
+        for k in range(1, 5):
+            term = term @ A / k
+            R = R + term
+        states[0, idx] = v
+        if m:
+            # powers[j - 1] = P^j for P = R^store_every, filled by doubling
+            powers = np.empty((m, 16, 16), dtype=complex)
+            powers[0] = np.linalg.matrix_power(R, store_every)
+            k = 1
+            while k < m:
+                j = min(k, m - k)
+                np.matmul(powers[:j], powers[k - 1], out=powers[k:k + j])
+                k += j
+            flat = powers.reshape(16 * m, 16)
+            for lo in range(1, n_full + 1, m):
+                hi = min(lo + m, n_full + 1)
+                states[lo:hi, idx] = (flat[:16 * (hi - lo)] @ v).reshape(
+                    hi - lo, 16)
+                v = states[hi - 1, idx]
+        if rest:
+            states[-1, idx] = np.linalg.matrix_power(R, rest) @ v
     times = steps * dt
     times[-1] = t_end
     states = states.reshape(-1, 8, 8)
@@ -195,7 +229,8 @@ def _check_states(rhos, times=None):
     with its first failing check: IntegrationError for samples stored at
     the given times, ValueError for an initial state (times None).
     Returns the largest trace and Hermiticity drift and the smallest
-    eigenvalue over the stack.
+    eigenvalue over the stack, from hermitian_eigvals: closed form on a
+    sector-0 stack, eigvalsh otherwise.
 
     Slices of 64 states keep the temporaries small next to the stack.
     """
@@ -206,7 +241,7 @@ def _check_states(rhos, times=None):
         tr_drift = np.abs(tr.real - 1.0) + np.abs(tr.imag)
         adj = chunk.conj().transpose(0, 2, 1)
         herm = np.linalg.norm(chunk - adj, axis=(1, 2)) / 2.0
-        min_eig = np.linalg.eigvalsh(0.5 * (chunk + adj)).min(axis=1)
+        min_eig = hermitian_eigvals(0.5 * (chunk + adj)).min(axis=1)
         bad = np.flatnonzero((tr_drift > TRACE_DRIFT_TOL)
                              | (herm > HERM_DRIFT_TOL)
                              | (min_eig < MIN_EIG_TOL))

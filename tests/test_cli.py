@@ -402,6 +402,21 @@ def test_huge_g_or_rate_is_a_computation_error(command, flag, value,
     assert err.startswith("computation error: ") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings(
+    "default::qfridge.model.PerturbativeRegimeWarning")
+def test_library_warning_prints_as_one_line(tmp_path, monkeypatch, capsys):
+    # g far outside the perturbative regime warns while the config is
+    # built, then g ** 2 overflows: one line each, in the CLI's own shape,
+    # with no library source line echoed
+    monkeypatch.setenv("QFRIDGE_OUTDIR", str(tmp_path))
+    assert main(["steady"] + FIG2 + ["--g", "1e200"]) == EXIT_COMPUTE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("computation error: ")
+    assert lines[1].startswith("warning: PerturbativeRegimeWarning: "
+                               "parameters outside the perturbative regime")
+
+
 def test_huge_g_sweep_keeps_going(tmp_path):
     out = tmp_path / "sweep.csv"
     argv = (["sweep"] + FIG2 + ["--knob", "g", "--log", "1e-2", "1e200",
@@ -436,10 +451,10 @@ def test_optimize_prints_summary(capsys):
 def test_verify_exit_codes(monkeypatch, capsys):
     ok_rows = [CheckResult("1", "x", "PASS", "fine"),
                CheckResult("7", "y", "KNOWN-DEVIATION", "documented")]
-    monkeypatch.setattr("qfridge.cli.run_all_checks", lambda: ok_rows)
+    monkeypatch.setattr("qfridge.verify.run_all_checks", lambda: ok_rows)
     assert main(["verify"]) == EXIT_OK       # KNOWN rows do not fail
     capsys.readouterr()
     bad_rows = ok_rows + [CheckResult("2", "z", "FAIL", "broken")]
-    monkeypatch.setattr("qfridge.cli.run_all_checks", lambda: bad_rows)
+    monkeypatch.setattr("qfridge.verify.run_all_checks", lambda: bad_rows)
     assert main(["verify"]) == EXIT_VERIFY
     assert "FAIL" in capsys.readouterr().out

@@ -53,6 +53,18 @@ def test_liouvillian_matrix_matches_apply(rng):
         assert np.array_equal(stacked[n], liouvillian_apply(params, stack[n]))
 
 
+def test_liouvillian_never_mixes_the_four_sectors(rng):
+    # |a><b| only reaches units with a^b in {d, d^7}: exact zeros between
+    # the sectors d = 0..3
+    a, b = np.divmod(np.arange(64), 8)
+    sector = np.minimum(a ^ b, a ^ b ^ 7)
+    for _ in range(5):
+        L = liouvillian_matrix(random_params(rng))
+        assert np.all(L[sector[:, None] != sector[None, :]] == 0.0)
+        assert all(np.any(L[np.ix_(sector == d, sector == d)])
+                   for d in range(4))
+
+
 def test_heat_current_definition(cooling_params):
     # J_c at the steady state equals the closed form q gamma E_c
     rep = steady_state(cooling_params)
@@ -119,6 +131,31 @@ def test_stored_samples_match_a_step_by_step_loop(coherent_params, t_end,
     assert np.abs(traj.states - np.array(expected)).max() <= 1e-13
 
 
+def test_a_general_rho0_matches_a_64_dim_step_loop(unequal_rate_params,
+                                                   rng):
+    # a full-rank rho0 occupies all four sectors; each takes its own R
+    A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho).real
+    traj = evolve(unequal_rate_params, rho0=rho, t_end=1.5, dt=0.01,
+                  store_every=2)
+    A = 0.01 * liouvillian_matrix(unequal_rate_params)
+    R = np.eye(64, dtype=complex)
+    term = np.eye(64, dtype=complex)
+    for k in range(1, 5):
+        term = term @ A / k
+        R = R + term
+    vec = rho.ravel()
+    expected = [vec]
+    for n in range(1, 151):
+        vec = R @ vec
+        if n % 2 == 0:
+            expected.append(vec)
+    expected = np.array(expected).reshape(-1, 8, 8)
+    assert traj.states.shape == expected.shape
+    assert np.abs(traj.states - expected).max() <= 1e-13
+
+
 def test_trajectory_reports_its_worst_drift(cooling_params):
     traj = evolve(cooling_params)
     tr = np.trace(traj.states, axis1=1, axis2=2)
@@ -127,8 +164,9 @@ def test_trajectory_reports_its_worst_drift(cooling_params):
                                           + np.abs(tr.imag))
     assert traj.max_herm_drift == np.max(
         np.linalg.norm(traj.states - adj, axis=(1, 2)) / 2.0)
-    assert traj.min_eig == np.linalg.eigvalsh(
-        0.5 * (traj.states + adj)).min()
+    # the closed-form 2x2 spectra and eigvalsh are both exact to round-off
+    assert abs(traj.min_eig - np.linalg.eigvalsh(
+        0.5 * (traj.states + adj)).min()) <= 1e-15
     assert 0.0 <= traj.max_trace_drift <= TRACE_DRIFT_TOL
     assert 0.0 <= traj.max_herm_drift <= HERM_DRIFT_TOL
     assert MIN_EIG_TOL <= traj.min_eig < 1.0
