@@ -3,7 +3,6 @@ high-temperature closed forms (F-function, approximate chi, and the
 efficiency-at-maximal-chi root formula with its scaling limit).
 """
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -19,11 +18,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # sweep knob -> the FridgeParams fields each grid value sets
 KNOBS = {"g": ("g",), "p_equal": ("p_c", "p_r", "p_h"), "eta": ("eta",),
          "kappa": ("kappa",)}
-
-# CSV schema: column name -> SweepRecord attribute
-_CSV_FIELDS = (("Q_c", "q_cool"), ("tau", "tau"), ("chi", "chi"),
-               ("gamma", "gamma"), ("delta", "delta"),
-               ("is_fridge", "is_fridge"))
 
 
 class HighTemperatureValidityWarning(UserWarning):
@@ -56,13 +50,11 @@ class SweepSpec:
     """A one-knob sweep: base parameters, the knob name, and the grid.
 
     knob is a key of KNOBS: g, p_equal (all three reset rates together),
-    eta, kappa. outputs optionally restricts which report columns the CSV
-    writer emits (records themselves always carry every field).
+    eta, kappa.
     """
     base: object
     knob: str
     grid: tuple
-    outputs: tuple = None
 
     def __post_init__(self):
         if self.knob not in KNOBS:
@@ -86,29 +78,21 @@ class SweepSpec:
                 raise ValueError(
                     "kappa sweep with nonzero values needs base.coh_subspace")
         object.__setattr__(self, "grid", grid)
-        if self.outputs is not None:
-            outs = tuple(self.outputs)
-            known = tuple(name for name, _ in _CSV_FIELDS)
-            for name in outs:
-                if name not in known:
-                    raise ValueError(f"unknown output field {name!r}; "
-                                     f"expected a subset of {known}")
-            object.__setattr__(self, "outputs", outs)
 
 
 def run_sweep(spec):
     """Evaluate the sweep, one SweepRecord per grid point in grid order.
 
     Per-point failures (singular rates, undefined chi, ...) become NaN
-    rows tagged with the error text; warnings raised during a point
-    (non-cooling, trivial evolution, perturbative regime) are collected
-    into that row's `warnings` tuple. Fully deterministic: fixed grid
-    order, no randomness.
+    rows tagged with the error text; the library's warnings raised during
+    a point (non-cooling, trivial evolution, perturbative regime) are
+    collected into that row's `warnings` tuple, and other categories
+    pass the active filters. Fully deterministic: fixed grid order.
     """
     records = []
     for value in spec.grid:
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            warnings.simplefilter("always", UserWarning)
             try:
                 pt = replace(spec.base,
                              **dict.fromkeys(KNOBS[spec.knob], value))
@@ -123,26 +107,6 @@ def run_sweep(spec):
         records.append(SweepRecord(value, *values, notes + tuple(
             str(w.message) for w in caught)))
     return records
-
-
-def write_sweep_csv(records, fileobj, outputs=None):
-    """Write sweep records as CSV: knob_value, selected fields, warnings.
-
-    Floats are rendered with %.17g (round-trip exact); is_fridge as 0/1;
-    the warnings column is semicolon-joined.
-    """
-    fields = _CSV_FIELDS if outputs is None else tuple(
-        (name, attr) for name, attr in _CSV_FIELDS if name in outputs)
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["knob_value"] + [name for name, _ in fields]
-                    + ["warnings"])
-    for rec in records:
-        row = ["%.17g" % rec.knob_value]
-        for name, attr in fields:
-            val = getattr(rec, attr)
-            row.append("%d" % val if name == "is_fridge" else "%.17g" % val)
-        row.append(";".join(rec.warnings))
-        writer.writerow(row)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +179,7 @@ def maximize_chi_over_eta(params, bracket=None):
         raise ValueError(f"bracket must satisfy 0 < lo < hi < {eta_c:.6g}")
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         xs = np.linspace(lo, hi, 64)
         raw = np.array([_chi_at_eta(params, x) for x in xs])
         finite = np.isfinite(raw)

@@ -12,6 +12,7 @@ failure. Identical configs produce byte-identical CSV output.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -26,8 +27,7 @@ from .model import CohSubspace, FridgeParams
 from .steady import carnot_cop, steady_state
 from .dynamics import evolve
 from .qsl import qsl_time
-from .analysis import (KNOBS, SweepSpec, maximize_chi_over_eta, run_sweep,
-                       write_sweep_csv)
+from .analysis import KNOBS, SweepSpec, maximize_chi_over_eta, run_sweep
 
 OUTDIR_ENV = "QFRIDGE_OUTDIR"
 
@@ -121,6 +121,11 @@ def _build_parser():
 
 # the parser and, per subcommand, its actions by dest
 _PARSER, _ACTIONS = _build_parser()
+
+# sweep CSV columns: name -> SweepRecord attribute, in column order
+_SWEEP_COLUMNS = {"Q_c": "q_cool", "tau": "tau", "chi": "chi",
+                  "gamma": "gamma", "delta": "delta",
+                  "is_fridge": "is_fridge"}
 
 
 def _is_number(value):
@@ -226,6 +231,17 @@ def _sweep_grid(settings):
     return tuple(np.linspace(lo, hi, n_int))
 
 
+def _sweep_columns(settings):
+    """The sweep CSV columns --outputs selects, in table order; all of
+    them when it names none."""
+    given = [s.strip() for s in (settings.get("outputs") or "").split(",")]
+    for name in filter(None, given):
+        if name not in _SWEEP_COLUMNS:
+            raise ConfigError(f"unknown output field {name!r}; expected a "
+                              f"subset of {tuple(_SWEEP_COLUMNS)}")
+    return [n for n in _SWEEP_COLUMNS if n in given] or list(_SWEEP_COLUMNS)
+
+
 def parse_config(argv):
     """Parse flags (+ optional JSON config) into a RunConfig with its
     parameters and sweep spec built."""
@@ -241,12 +257,11 @@ def parse_config(argv):
         raise ConfigError("sweep requires --knob (g, p_equal, eta, or kappa)")
     grid = _sweep_grid(settings)
     params = _build_params(settings, dict.fromkeys(KNOBS[knob], grid[0]))
-    outputs = [s.strip() for s in (settings.get("outputs") or "").split(",")]
     try:
-        spec = SweepSpec(base=params, knob=knob, grid=grid,
-                         outputs=tuple(filter(None, outputs)) or None)
+        spec = SweepSpec(base=params, knob=knob, grid=grid)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    _sweep_columns(settings)   # refuse an unknown --outputs name up front
     return RunConfig(command, settings, params, spec)
 
 
@@ -274,18 +289,22 @@ def _write_csv(config, default_name, header, lines):
 
 
 def _run_steady(config):
-    srep = steady_state(config.params)
+    p = config.params
+    srep = steady_state(p)
+    # degenerate temperatures have no Carnot point
+    eta_c = (carnot_cop(p.T_c, p.T_r, p.T_h) if p.T_c < p.T_r < p.T_h
+             else float("nan"))
     print(f"delta        = {_fmt(srep.delta)}")
     print(f"gamma        = {_fmt(srep.gamma)}")
     print(f"Q_c          = {_fmt(srep.q_cool)}")
-    print(f"eta          = {_fmt(srep.eta)}")
-    print(f"eta_carnot   = {_fmt(srep.eta_carnot)}")
+    print(f"eta          = {_fmt(p.eta)}")
+    print(f"eta_carnot   = {_fmt(eta_c)}")
     print(f"is_fridge    = {srep.is_fridge}")
     _write_csv(config, "steady.csv",
                "delta,gamma,Q_c,eta,eta_carnot,is_fridge",
                ["%.17g,%.17g,%.17g,%.17g,%.17g,%d"
-                % (srep.delta, srep.gamma, srep.q_cool, srep.eta,
-                   srep.eta_carnot, srep.is_fridge)])
+                % (srep.delta, srep.gamma, srep.q_cool, p.eta, eta_c,
+                   srep.is_fridge)])
     return EXIT_OK
 
 
@@ -320,10 +339,20 @@ def _run_evolve(config):
 
 
 def _run_sweep(config):
+    """Sweep CSV: knob_value, the --outputs columns (all by default) in
+    table order, warnings; numbers as %.17g (round-trip exact, is_fridge
+    0/1), the row's warnings joined by ';'."""
     records = run_sweep(config.sweep)
+    names = _sweep_columns(config.settings)
     path = _out_path(config, "sweep.csv")
     with open(path, "w") as fh:
-        write_sweep_csv(records, fh, outputs=config.sweep.outputs)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["knob_value"] + names + ["warnings"])
+        for rec in records:
+            writer.writerow(
+                ["%.17g" % rec.knob_value]
+                + ["%.17g" % getattr(rec, _SWEEP_COLUMNS[n]) for n in names]
+                + [";".join(rec.warnings)])
     n_bad = sum(1 for r in records if r.warnings)
     print(f"swept {config.sweep.knob} over {len(records)} points "
           f"({n_bad} with warnings); wrote {path}")

@@ -88,8 +88,8 @@ def hermitian_eigvals(H):
     pairs (a, a^7), as every state of the reset dynamics from the
     machine's initial state) is a direct sum of 2x2 blocks [[x, z*], [z,
     y]], with eigenvalues m +- hypot((x - y)/2, |z|), m = (x + y)/2. They
-    are read through views, with no temporary the size of the stack. Any
-    other input goes to eigvalsh.
+    are read through views; the temporaries hold four numbers per matrix,
+    none the size of the stack. Any other input goes to eigvalsh.
     """
     H = np.asarray(H)
     if H.shape[-2:] == (8, 8):
@@ -99,18 +99,11 @@ def hermitian_eigvals(H):
                                    + np.count_nonzero(anti)):
             x, y = diag[..., :4].real, diag[..., :3:-1].real
             z = anti[..., :3:-1]
-            ev = np.empty(H.shape[:-1])
-            lo, hi = ev[..., :4], ev[..., 4:]
-            np.add(x, y, out=lo)
-            lo *= 0.5                      # m
-            np.subtract(x, y, out=hi)
-            hi *= 0.5                      # (x - y)/2
+            m = (x + y) / 2
             # |z| by a real hypot: np.abs of a complex array rounds
             # differently on strided and contiguous data
-            r = np.hypot(z.real, z.imag)
-            np.hypot(hi, r, out=r)         # half the gap
-            np.add(lo, r, out=hi)
-            lo -= r
+            h = np.hypot((x - y) / 2, np.hypot(z.real, z.imag))
+            ev = np.concatenate((m - h, m + h), axis=-1)
             ev.sort(axis=-1)
             return ev
     return np.linalg.eigvalsh(H)

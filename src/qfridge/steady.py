@@ -33,7 +33,8 @@ class SteadyReport:
     lam the weight lambda and overlap = tr(rho_diag sigma), rho_diag the
     thermal product: the dot product of their diagonals. delta, lam and
     overlap do not depend on g; sigma and rho_f are complex 8x8 arrays.
-    q_cool = q gamma E_c is the cooling rate Q_c.
+    q_cool = q gamma E_c is the cooling rate Q_c; is_fridge is gamma > 0.
+    The efficiency and its Carnot bound are params.eta and carnot_cop.
     """
     delta: float
     gamma: float
@@ -42,8 +43,6 @@ class SteadyReport:
     sigma: np.ndarray
     rho_f: np.ndarray
     q_cool: float
-    eta: float
-    eta_carnot: float
     is_fridge: bool
 
 
@@ -147,10 +146,6 @@ def steady_state(params):
     tc, tr, th = factors
     rho_diag = (tc * (tr * th)).ravel()
     sigma = sigma_matrix(factors, qs, Qs, q / (2.0 * params.g))
-    if params.T_c < params.T_r < params.T_h:
-        eta_car = carnot_cop(params.T_c, params.T_r, params.T_h)
-    else:
-        eta_car = float("nan")   # degenerate temperatures: no Carnot point
     return SteadyReport(
         delta=delta,
         gamma=gamma,
@@ -159,7 +154,5 @@ def steady_state(params):
         sigma=sigma,
         rho_f=np.diag(rho_diag) + gamma * sigma,
         q_cool=q * gamma * params.E_c,
-        eta=params.eta,
-        eta_carnot=eta_car,
         is_fridge=bool(gamma > 0),
     )

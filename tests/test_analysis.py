@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import warnings
 
 import numpy as np
@@ -8,9 +7,9 @@ import pytest
 from qfridge import (BoundaryMaximumError, FridgeError, FridgeParams,
                      HighTemperatureValidityWarning, PoleError, SweepSpec,
                      bsocr, carnot_cop, chi_highT, eta_opt_asymptotic,
-                     f_function, maximize_chi_over_eta, run_sweep)
+                     f_function, maximize_chi_over_eta, run_sweep,
+                     steady_state)
 from qfridge import analysis
-from qfridge.analysis import write_sweep_csv
 
 
 # ----------------------------------------------------------------------
@@ -35,9 +34,6 @@ def test_sweep_spec_validation(cooling_params):
         SweepSpec(base=cooling_params, knob="kappa", grid=(0.0, 0.5))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         SweepSpec(base=cooling_params, knob="kappa", grid=(0.5, 1.5))
-    with pytest.raises(ValueError):
-        SweepSpec(base=cooling_params, knob="g", grid=(0.01, 0.02),
-                  outputs=("chi", "no_such_field"))
 
 
 def test_run_sweep_values_match_pointwise(cooling_params):
@@ -78,32 +74,26 @@ def test_kappa_sweep_roundtrip(coherent_params):
     assert records[1].chi > records[0].chi   # the boost regime at g = 0.05
 
 
-def test_write_sweep_csv_golden(cooling_params):
-    records = run_sweep(SweepSpec(base=cooling_params, knob="g",
-                                  grid=(0.01, 0.02)))
-    buf = io.StringIO()
-    write_sweep_csv(records, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "knob_value,Q_c,tau,chi,gamma,delta,is_fridge,warnings"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "0.01"
-    assert first[6] == "1"
-    # 17 significant digits round-trip exactly
-    assert float(first[3]) == records[0].chi
-    # deterministic: a second rendering is byte-identical
-    buf2 = io.StringIO()
-    write_sweep_csv(records, buf2)
-    assert buf2.getvalue() == buf.getvalue()
-
-
-def test_write_sweep_csv_output_subset(cooling_params):
-    records = run_sweep(SweepSpec(base=cooling_params, knob="g",
-                                  grid=(0.01, 0.02)))
-    buf = io.StringIO()
-    write_sweep_csv(records, buf, outputs=("chi", "is_fridge"))
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "knob_value,chi,is_fridge,warnings"
+def test_runtime_warnings_pass_the_library_filters(cooling_params,
+                                                   monkeypatch):
+    # the sweep and the optimizer filter only the library's UserWarnings:
+    # a numpy RuntimeWarning inside a point reaches an error filter
+    def steady_warns(params):
+        warnings.warn("overflow encountered", RuntimeWarning)
+        return steady_state(params)
+    monkeypatch.setattr(analysis, "steady_state", steady_warns)
+    spec = SweepSpec(base=cooling_params, knob="g", grid=(0.01, 0.02))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            run_sweep(spec)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            maximize_chi_over_eta(cooling_params, bracket=(0.05, 0.4))
+    # under the default filters it is a note on every row, as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        records = run_sweep(spec)
+    assert all(rec.warnings == ("overflow encountered",) for rec in records)
 
 
 # ----------------------------------------------------------------------

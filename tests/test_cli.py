@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
-from qfridge import ConfigError, evolve, steady_state, trace_distance
+from qfridge import (ConfigError, SweepSpec, evolve, run_sweep, steady_state,
+                     trace_distance)
+from qfridge import analysis
 from qfridge.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY,
                          main, parse_config)
 from qfridge.verify import CheckResult
@@ -205,6 +208,65 @@ def test_sweep_outputs_select_columns(tmp_path, via_config):
     assert len(rows) == 4 and all(len(row) == 4 for row in rows)
 
 
+def test_sweep_csv_golden(tmp_path, cooling_params):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["sweep", "--knob", "g", "--lin", "0.01", "0.02", "2"] + FIG2
+    assert main(argv + ["--out", str(a)]) == EXIT_OK
+    lines = a.read_text().splitlines()
+    assert lines[0] == "knob_value,Q_c,tau,chi,gamma,delta,is_fridge,warnings"
+    assert len(lines) == 3
+    first = lines[1].split(",")
+    assert first[0] == "0.01"
+    assert first[6] == "1"
+    # 17 significant digits round-trip exactly
+    records = run_sweep(SweepSpec(base=cooling_params, knob="g",
+                                  grid=(0.01, 0.02)))
+    assert float(first[3]) == records[0].chi
+    # deterministic: a second run is byte-identical
+    assert main(argv + ["--out", str(b)]) == EXIT_OK
+    assert b.read_bytes() == a.read_bytes()
+
+
+def test_sweep_csv_output_subset(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = (["sweep", "--knob", "g", "--lin", "0.01", "0.02", "2"] + FIG2
+            + ["--outputs", "chi,is_fridge", "--out", str(out)])
+    assert main(argv) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "knob_value,chi,is_fridge,warnings"
+
+
+def test_sweep_unknown_output_is_refused(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = (["sweep", "--knob", "g", "--lin", "0.01", "0.02", "2"] + FIG2
+            + ["--outputs", "chi,no_such_field", "--out", str(out)])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: unknown output field 'no_such_field'; expected a "
+        "subset of ('Q_c', 'tau', 'chi', 'gamma', 'delta', 'is_fridge')\n")
+    assert not out.exists()
+
+
+def test_sweep_warnings_cell_round_trips(tmp_path, monkeypatch):
+    # a note holding the CSV delimiter and quote char is quoted, and the
+    # notes of one row are joined by ';'
+    notes = ('chi, "roughly"', "second")
+
+    def steady_warns(params):
+        for note in notes:
+            warnings.warn(note, UserWarning)
+        return steady_state(params)
+    monkeypatch.setattr(analysis, "steady_state", steady_warns)
+    out = tmp_path / "sweep.csv"
+    argv = (["sweep", "--knob", "g", "--lin", "0.01", "0.02", "2"] + FIG2
+            + ["--out", str(out)])
+    assert main(argv) == EXIT_OK
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3 and all(len(row) == 8 for row in rows)
+    assert [row[-1] for row in rows[1:]] == [";".join(notes)] * 2
+
+
 @pytest.mark.parametrize("argv", [
     ["--knob", "g", "--log", "0", "1", "3"] + FIG2,
     ["--knob", "g", "--lin", "0.01", "0.03", "2.5"] + FIG2,
@@ -273,6 +335,15 @@ def test_steady_writes_csv_and_exits_zero(tmp_path, capsys):
     assert float(fields[1]) == pytest.approx(2.745368e-3, rel=1e-5)
     assert fields[5] == "1"
     assert "is_fridge    = True" in capsys.readouterr().out
+
+
+def test_steady_without_a_carnot_point_writes_nan(tmp_path, capsys):
+    # T_c = T_r: the temperatures are not strictly ordered
+    out = tmp_path / "steady.csv"
+    argv = ["steady"] + FIG2 + ["--Tr", "1", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "eta_carnot   = nan\n" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1].split(",")[3:5] == ["0.5", "nan"]
 
 
 def test_outdir_env_sets_default_location(tmp_path, monkeypatch, capsys):

@@ -151,7 +151,8 @@ def _check_point(params):
     assert rep.q_cool == pytest.approx(params.q * rep.gamma * params.E_c,
                                        rel=1e-12, abs=1e-300)
     assert rep.is_fridge == (rep.gamma > 0) == (rep.delta < 0)
-    assert rep.is_fridge == (rep.eta < rep.eta_carnot)
+    assert rep.is_fridge == (
+        params.eta < carnot_cop(params.T_c, params.T_r, params.T_h))
     return rep
 
 
