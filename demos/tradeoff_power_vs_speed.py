@@ -95,7 +95,7 @@ for g in (0.005, 0.08):
     traj = evolve(pr)
     d0 = trace_distance(initial_state(pr), st.rho_f)
     # time at which the trajectory is within 1e-3 trace distance of rho_f
-    inside = np.nonzero(trace_distance(traj.states, st.rho_f) <= 1e-3)[0]
+    inside = np.nonzero(traj.trace_distances(st.rho_f) <= 1e-3)[0]
     t_conv = traj.times[inside[0]] if inside.size else np.inf
     print(f"g = {g}:")
     print(f"  distance from thermal start to steady state : {d0:.3e}")

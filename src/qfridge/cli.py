@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FridgeError
-from .linalg import trace_distance
 from .model import CohSubspace, FridgeParams
 from .steady import carnot_cop, steady_state
 from .dynamics import evolve
@@ -325,7 +324,7 @@ def _run_evolve(config):
     s = config.settings
     traj = evolve(config.params, t_end=s.get("t_end"), dt=s.get("dt"),
                   store_every=s.get("store_every"))
-    dists = trace_distance(traj.states, srep.rho_f)
+    dists = traj.trace_distances(srep.rho_f)
     power = np.divide(traj.currents, traj.times, where=traj.times > 0,
                       out=np.zeros_like(traj.currents))
     rows = ["%.17g,%.17g,%.17g,%.17g" % row

@@ -80,43 +80,14 @@ def trace_product(A, B):
     return np.sum(A * B.T)
 
 
-def hermitian_eigvals(H):
-    """Ascending eigenvalues of a Hermitian matrix or stack (..., n, n),
-    read from its lower triangle as np.linalg.eigvalsh reads it.
-
-    An 8x8 stack nonzero only on the diagonal and anti-diagonal (the
-    pairs (a, a^7), as every state of the reset dynamics from the
-    machine's initial state) is a direct sum of 2x2 blocks [[x, z*], [z,
-    y]], with eigenvalues m +- hypot((x - y)/2, |z|), m = (x + y)/2. They
-    are read through views; the temporaries hold four numbers per matrix,
-    none the size of the stack. Any other input goes to eigvalsh.
-    """
-    H = np.asarray(H)
-    if H.shape[-2:] == (8, 8):
-        diag = np.diagonal(H, axis1=-2, axis2=-1)
-        anti = np.diagonal(H[..., ::-1], axis1=-2, axis2=-1)
-        if np.count_nonzero(H) == (np.count_nonzero(diag)
-                                   + np.count_nonzero(anti)):
-            x, y = diag[..., :4].real, diag[..., :3:-1].real
-            z = anti[..., :3:-1]
-            m = (x + y) / 2
-            # |z| by a real hypot: np.abs of a complex array rounds
-            # differently on strided and contiguous data
-            h = np.hypot((x - y) / 2, np.hypot(z.real, z.imag))
-            ev = np.concatenate((m - h, m + h), axis=-1)
-            ev.sort(axis=-1)
-            return ev
-    return np.linalg.eigvalsh(H)
-
-
 def trace_distance(A, B):
     """Trace distance (1/2)||A - B||_1 between two Hermitian matrices.
 
     Either argument may be a stack (..., n, n); the stacks broadcast and
-    the result is the array of distances, one hermitian_eigvals over the
-    stack. Two single matrices give a float.
+    the result is the array of distances, one eigvalsh over the stack.
+    Two single matrices give a float.
     """
-    ev = hermitian_eigvals(np.asarray(A) - np.asarray(B))
+    ev = np.linalg.eigvalsh(np.asarray(A) - np.asarray(B))
     dist = 0.5 * np.abs(ev).sum(axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 

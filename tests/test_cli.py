@@ -378,7 +378,9 @@ def test_trajectory_csv_distances_are_per_state(tmp_path):
     rho_f = steady_state(params).rho_f
     column = [float(line.split(",")[2])
               for line in out.read_text().splitlines()[1:]]
-    assert column == [trace_distance(state, rho_f) for state in traj.states]
+    assert column == traj.trace_distances(rho_f).tolist()
+    assert max(abs(d - trace_distance(state, rho_f))
+               for d, state in zip(column, traj.states)) <= 1e-15
 
 
 @pytest.mark.parametrize("command, extra", [

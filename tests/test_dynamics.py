@@ -5,13 +5,20 @@ import pytest
 
 from qfridge import (CohSubspace, IntegrationError, steady_state,
                      trace_distance)
-from qfridge.dynamics import (HERM_DRIFT_TOL, MIN_EIG_TOL, TRACE_DRIFT_TOL,
-                              _check_states, convergence_time, default_dt,
+from qfridge.dynamics import (HERM_DRIFT_TOL, MIN_EIG_TOL, SECTORS,
+                              TRACE_DRIFT_TOL, _blocks, _check_states,
+                              _sectors, convergence_time, default_dt,
                               default_t_end, evolve, heat_current_cold,
                               liouvillian_apply, liouvillian_matrix)
 from qfridge.linalg import partial_trace, tensor
 from qfridge.model import initial_state, thermal_populations, thermal_qubit
 from conftest import random_params
+
+
+def _random_density(rng):
+    A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
 
 
 def rk4_step_reference(params, rho, dt):
@@ -134,9 +141,7 @@ def test_stored_samples_match_a_step_by_step_loop(coherent_params, t_end,
 def test_a_general_rho0_matches_a_64_dim_step_loop(unequal_rate_params,
                                                    rng):
     # a full-rank rho0 occupies all four sectors; each takes its own R
-    A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho = A @ A.conj().T
-    rho /= np.trace(rho).real
+    rho = _random_density(rng)
     traj = evolve(unequal_rate_params, rho0=rho, t_end=1.5, dt=0.01,
                   store_every=2)
     A = 0.01 * liouvillian_matrix(unequal_rate_params)
@@ -174,9 +179,35 @@ def test_trajectory_reports_its_worst_drift(cooling_params):
 
 def test_defaults(cooling_params):
     assert default_dt(cooling_params) == pytest.approx(
-        0.05 / max(cooling_params.E_r, cooling_params.q))
+        0.05 / max(cooling_params.E_r, cooling_params.q, cooling_params.g))
+    # a coupling above E_r and q sets the step
+    strong = dataclasses.replace(cooling_params, g=30.0)
+    assert default_dt(strong) == pytest.approx(0.05 / 30.0)
     assert default_t_end(cooling_params) == pytest.approx(
         50.0 / min(cooling_params.ps))
+
+
+def test_the_default_step_follows_a_strong_coupling(cooling_params):
+    # g = 30 is above E_r = 3 and q: a step of 0.05/max(E_r, q) left the
+    # state 7.5e-3 off at t = 5; the oracle is numpy's eig of L
+    params = dataclasses.replace(cooling_params, g=30.0)
+    traj = evolve(params, t_end=5.0)
+    lam, V = np.linalg.eig(liouvillian_matrix(params))
+    c = np.linalg.solve(V, initial_state(params).ravel())
+    exact = (V @ (np.exp(5.0 * lam) * c)).reshape(8, 8)
+    assert np.abs(traj.states[-1] - exact).max() <= 1e-5
+
+
+def test_long_horizon_round_off_names_the_ways_out(cooling_params):
+    # rates of 1e-5 ask for 3e8 steps at the largest allowed dt, so the
+    # round-off remedy cannot be "fewer, larger steps" alone
+    slow = dataclasses.replace(cooling_params, p_c=1e-5, p_r=1e-5, p_h=1e-5)
+    with pytest.raises(IntegrationError,
+                       match=r"trace drift .* over 300000000 steps of "
+                             r"dt=0\.0167: use a larger dt, up to "
+                             r"0\.05/max\(E_r, q, g\) = 0\.0167, "
+                             r"or a shorter t_end"):
+        evolve(slow)
 
 
 def test_evolve_rejects_oversized_step(cooling_params):
@@ -242,18 +273,86 @@ def test_state_check_names_the_earliest_failing_sample():
     also_not_hermitian = not_positive + 0.1j * np.eye(8, k=1)
     times = np.array([1.0, 2.0, 3.0])
     # the third sample fails the trace check, which comes first per sample;
-    # positivity is lost to a too-large step, Hermiticity only to round-off
-    for second, message in ((not_positive, "negative eigenvalue"
-                             r" \S+ at t=2 .*reduce dt"),
-                            (also_not_hermitian, "Hermiticity drift"
-                             r" \S+ at t=2 .*round-off.*fewer, larger steps")):
+    # positivity is lost to a too-large step, Hermiticity only to round-off.
+    # The super-diagonal leaves sector 0, so that stack takes eigvalsh.
+    for second, sectors, message in (
+            (not_positive, (0,), "negative eigenvalue"
+             r" \S+ at t=2 .*reduce dt"),
+            (also_not_hermitian, (0, 1, 3), "Hermiticity drift"
+             r" \S+ at t=2 .*round-off piled up over 300 steps of dt=0.01:"
+             r" use a larger dt, up to .* = 0.05, or a shorter t_end")):
         stack = np.array([_E00, second, 2 * _E00])
+        assert _sectors(second) == sectors
         with pytest.raises(IntegrationError, match=message):
-            _check_states(stack, times)
-    _check_states(np.array([_E00, _E00]), times[:2])   # all pass
-    stack = np.array([_E00] * 70 + [not_positive])   # past the first slice
+            _check_states(stack, sectors, times, 300, 0.05)
+    _check_states(np.array([_E00, _E00]), (0,), times[:2], 300, 0.05)
+    stack = np.array([_E00] * 70 + [not_positive])   # a long stack
     with pytest.raises(IntegrationError, match="eigenvalue .* at t=70 "):
-        _check_states(stack, np.arange(71.0))
+        _check_states(stack, (0,), np.arange(71.0), 7000, 0.05)
+
+
+def _random_sector_zero_stack(rng, n):
+    """Hermitian 8x8 matrices whose only nonzero entries lie on the pairs
+    (a, a^7): the diagonal and the anti-diagonal."""
+    H = np.zeros((n, 8, 8), dtype=complex)
+    a = np.arange(8)
+    H[:, a, a] = rng.normal(size=(n, 8))
+    z = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    H[:, a[:4], 7 - a[:4]] = z
+    H[:, 7 - a[:4], a[:4]] = z.conj()
+    return H / 4.0
+
+
+def _closed_form_spectra(H):
+    m, h = _blocks(H.reshape(-1, 64)[:, SECTORS[0]])
+    return np.sort(np.concatenate((m - h, m + h), axis=1), axis=1)
+
+
+def test_closed_form_spectra_match_eigvalsh(rng):
+    H = _random_sector_zero_stack(rng, 500)
+    assert all(_sectors(h) == (0,) for h in H)
+    ev = _closed_form_spectra(H)
+    assert ev.shape == (500, 8)
+    assert np.abs(ev - np.linalg.eigvalsh(H)).max() <= 1e-15
+    # exact degeneracies and a block with no coupling
+    H[0, 0, 7] = H[0, 7, 0] = 0.0
+    H[1, 2, 2] = H[1, 5, 5]
+    assert np.abs(_closed_form_spectra(H[:2])
+                  - np.linalg.eigvalsh(H[:2])).max() <= 1e-15
+    assert np.array_equal(_closed_form_spectra(H[3:4])[0], ev[3])
+
+
+def test_spectra_off_sector_zero_are_eigvalsh(rng):
+    H = _random_sector_zero_stack(rng, 70)
+    H[69, 0, 1] = H[69, 1, 0] = 1e-300   # one entry off the pairs
+    assert _sectors(H[69]) == (0, 1)
+    assert _sectors(_random_density(rng)) == (0, 1, 2, 3)
+    # a stack off sector 0 takes its smallest eigenvalue from eigvalsh
+    states = np.eye(8) + H / 10
+    states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+    assert _check_states(states, (0, 1))[2] == np.linalg.eigvalsh(
+        states).min()
+
+
+def test_trajectory_records_its_sectors_and_distances(cooling_params,
+                                                      unequal_rate_params,
+                                                      rng):
+    # a library-built rho0 lies in sector 0; the full-rank rho0 of
+    # test_a_general_rho0_matches_a_64_dim_step_loop (same draw) in all four
+    rho_f = steady_state(cooling_params).rho_f
+    built = evolve(cooling_params, t_end=5.0, store_every=7)
+    assert built.sectors == (0,)
+    full = evolve(unequal_rate_params, rho0=_random_density(rng),
+                  t_end=1.5, dt=0.01, store_every=2)
+    assert full.sectors == (0, 1, 2, 3)
+    for traj in (built, full):
+        dists = traj.trace_distances(rho_f)
+        assert dists.shape == (len(traj),)
+        assert np.abs(dists - trace_distance(traj.states, rho_f)).max() \
+            <= 1e-15
+    # off sector 0 the method is linalg.trace_distance itself
+    assert np.array_equal(full.trace_distances(rho_f),
+                          trace_distance(full.states, rho_f))
 
 
 def test_trajectory_endpoints_and_monotonicity(cooling_params):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qfridge import DegenerateKernelError, trace_distance
-from qfridge.linalg import (embed, hermitian_eigvals, null_space_1d,
-                            partial_trace, tensor, trace_product)
+from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
+                            trace_product)
 
 
 def _random_density(rng, n):
@@ -140,42 +140,6 @@ def test_trace_distance_on_a_stack_is_per_matrix(rng):
     assert all(pairs[k] == trace_distance(stack[k], stack[69 - k])
                for k in range(70))
     assert isinstance(trace_distance(stack[0], sig), float)
-
-
-def _random_sector_zero_stack(rng, n):
-    """Hermitian 8x8 matrices whose only nonzero entries lie on the pairs
-    (a, a^7): the diagonal and the anti-diagonal."""
-    H = np.zeros((n, 8, 8), dtype=complex)
-    a = np.arange(8)
-    H[:, a, a] = rng.normal(size=(n, 8))
-    z = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    H[:, a[:4], 7 - a[:4]] = z
-    H[:, 7 - a[:4], a[:4]] = z.conj()
-    return H / 4.0
-
-
-def test_closed_form_spectra_match_eigvalsh(rng):
-    H = _random_sector_zero_stack(rng, 500)
-    ev = hermitian_eigvals(H)
-    assert ev.shape == (500, 8)
-    assert np.abs(ev - np.linalg.eigvalsh(H)).max() <= 1e-15
-    # exact degeneracies and a block with no coupling
-    H[0, 0, 7] = H[0, 7, 0] = 0.0
-    H[1, 2, 2] = H[1, 5, 5]
-    assert np.abs(hermitian_eigvals(H[:2])
-                  - np.linalg.eigvalsh(H[:2])).max() <= 1e-15
-    assert np.array_equal(hermitian_eigvals(H[3]), ev[3])
-
-
-def test_spectra_off_the_blocks_are_eigvalsh(rng):
-    H = _random_sector_zero_stack(rng, 70)
-    H[69, 0, 1] = H[69, 1, 0] = 1e-300   # one entry off the pairs
-    assert np.array_equal(hermitian_eigvals(H), np.linalg.eigvalsh(H))
-    rho = _random_density(rng, 8)
-    assert np.array_equal(hermitian_eigvals(rho), np.linalg.eigvalsh(rho))
-    small = _random_density(rng, 4)   # not 8x8
-    assert np.array_equal(hermitian_eigvals(small),
-                          np.linalg.eigvalsh(small))
 
 
 def test_trace_distance_orthogonal_pure_states():
