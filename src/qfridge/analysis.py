@@ -5,19 +5,16 @@ efficiency-at-maximal-chi root formula with its scaling limit).
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundaryMaximumError, FridgeError, PoleError
-from .steady import carnot_cop, steady_state
-from .qsl import qsl_time
+from .model import KNOBS
+from .steady import carnot_cop
+from .qsl import evaluate
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# sweep knob -> the FridgeParams fields each grid value sets
-KNOBS = {"g": ("g",), "p_equal": ("p_c", "p_r", "p_h"), "eta": ("eta",),
-         "kappa": ("kappa",)}
 
 
 class HighTemperatureValidityWarning(UserWarning):
@@ -81,32 +78,23 @@ class SweepSpec:
 
 
 def run_sweep(spec):
-    """Evaluate the sweep, one SweepRecord per grid point in grid order.
+    """Evaluate the sweep, one SweepRecord per grid point in grid order,
+    with one call of qsl.evaluate.
 
     Per-point failures (singular rates, undefined chi, ...) become NaN
-    rows tagged with the error text; the library's warnings raised during
-    a point (non-cooling, trivial evolution, perturbative regime) are
-    collected into that row's `warnings` tuple, and other categories
-    pass the active filters. Fully deterministic: fixed grid order.
+    rows tagged with the error text, followed by the row's notes
+    (perturbative regime, trivial evolution). A warning raised during the
+    call passes the active filters and, where they let it through, is
+    noted on every row. Fully deterministic: fixed grid order.
     """
-    records = []
-    for value in spec.grid:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
-            try:
-                pt = replace(spec.base,
-                             **dict.fromkeys(KNOBS[spec.knob], value))
-                srep = steady_state(pt)
-                qrep = qsl_time(pt, srep)
-                values = (srep.q_cool, qrep.tau, qrep.chi, srep.gamma,
-                          srep.delta, srep.is_fridge)
-                notes = ()
-            except (FridgeError, ValueError) as exc:
-                values = (float("nan"),) * 5 + (False,)
-                notes = (f"error: {exc}",)
-        records.append(SweepRecord(value, *values, notes + tuple(
-            str(w.message) for w in caught)))
-    return records
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        pts = evaluate(spec.base, spec.knob, spec.grid)
+    extra = tuple(str(w.message) for w in caught)
+    return [SweepRecord(*row, notes + extra) for row, notes in zip(
+        zip(spec.grid, pts.q_cool.tolist(), pts.tau.tolist(),
+            pts.chi.tolist(), pts.gamma.tolist(), pts.delta.tolist(),
+            (pts.gamma > 0).tolist()), pts.notes)]
 
 
 # ----------------------------------------------------------------------
@@ -144,16 +132,12 @@ def golden_section_max(f, a, b, tol):
     return 0.5 * (a + b)
 
 
-def _chi_at_eta(params, eta):
-    pt = replace(params, eta=eta)
-    srep = steady_state(pt)
-    return qsl_time(pt, srep).chi
-
-
 def maximize_chi_over_eta(params, bracket=None):
     """Locate the interior maximum of chi(eta) on the bracket.
 
-    A 64-point scan selects the best grid cell; golden-section search
+    A 64-point scan, one qsl.evaluate call, selects the best grid cell;
+    a point that evaluate refuses raises its error, the first in grid
+    order. Golden-section search, one value per evaluate call,
     then narrows it to |d eta| <= 1e-8 (ties broken toward smaller eta);
     where it lands below the best scan point, a dense scan of the cell
     that keeps that point decides (method "grid_refine").
@@ -178,10 +162,17 @@ def maximize_chi_over_eta(params, bracket=None):
     if not (0.0 < lo < hi < eta_c):
         raise ValueError(f"bracket must satisfy 0 < lo < hi < {eta_c:.6g}")
 
+    def chi(etas):
+        pts = evaluate(params, "eta", etas)
+        error = next(filter(None, pts.errors), None)
+        if error is not None:
+            raise error
+        return pts.chi
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         xs = np.linspace(lo, hi, 64)
-        raw = np.array([_chi_at_eta(params, x) for x in xs])
+        raw = chi(xs)
         finite = np.isfinite(raw)
         if not finite.any():
             raise FridgeError("chi is not finite anywhere on the bracket")
@@ -196,15 +187,15 @@ def maximize_chi_over_eta(params, bracket=None):
                 f"chi(lo)={raw[0]:.6g}, chi(hi)={raw[-1]:.6g}, "
                 f"chi(best)={vals[i]:.6g}")
 
-        eta_star = golden_section_max(lambda x: _chi_at_eta(params, x),
-                                      float(xs[i - 1]), float(xs[i + 1]), 1e-8)
-        chi_star = _chi_at_eta(params, eta_star)
+        eta_star = golden_section_max(chi, float(xs[i - 1]),
+                                      float(xs[i + 1]), 1e-8)
+        chi_star = chi(eta_star)
         method = "golden_section"
         if chi_star + 1e-15 < vals[i]:
             # non-unimodal cell: dense scan of the cell, which straddles the
             # scan maximum xs[i], so that point stays a candidate
             xs2 = np.append(np.linspace(xs[i - 1], xs[i + 1], 256), xs[i])
-            vals2 = np.array([_chi_at_eta(params, x) for x in xs2])
+            vals2 = chi(xs2)
             j = int(np.nanargmax(vals2))
             eta_star, chi_star = float(xs2[j]), float(vals2[j])
             method = "grid_refine"

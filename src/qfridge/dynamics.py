@@ -41,6 +41,13 @@ MIN_EIG_TOL = -1e-8
 # bytes per stored sample: a complex 8x8 state and its time
 SAMPLE_BYTES = 64 * 16 + 8
 
+# a run's peak memory per stored sample, in SAMPLE_BYTES, as tracemalloc
+# read it (1.90 and 4.02): the drift check of a sector-0 stack holds
+# (n, 16) temporaries beside it, that of any other stack conjugates,
+# differences and diagonalizes the whole (n, 8, 8) stack
+PEAK_FACTOR_SECTOR_0 = 2.0
+PEAK_FACTOR_OTHER = 4.1
+
 # flat indices 8a + b of the matrix units |a><b| in each of the four
 # sectors a^b in {d, d^7}, d = 0..3, that the generator never mixes; unit
 # 2a + j of sector d is |a><a^d^7j|
@@ -167,8 +174,9 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     finite; dt defaults to default_dt(params), its largest allowed value,
     and must be positive. Samples are stored every store_every steps, a
     positive integer (default keeps about 4000 samples); the final state
-    is always stored, at exactly t_end. A stored stack larger than the
-    machine's physical memory raises ValueError before any allocation.
+    is always stored, at exactly t_end. A run whose peak memory, the
+    stored stack and the drift check's temporaries, exceeds the machine's
+    physical memory raises ValueError before any allocation.
     Trace, Hermiticity, and positivity drift are checked at the stored
     samples; exceeding the thresholds raises IntegrationError for the
     earliest failing sample, naming the remedy: for trace or Hermiticity
@@ -207,7 +215,8 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     n_full, rest = divmod(n_steps, store_every)
     n_samples = n_full + 1 + bool(rest)
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n_samples * SAMPLE_BYTES > phys:
+    peak = PEAK_FACTOR_SECTOR_0 if sectors == (0,) else PEAK_FACTOR_OTHER
+    if n_samples * SAMPLE_BYTES * peak > phys:
         raise ValueError("evolve: %d stored samples (store_every=%d) need "
                          "more than the machine's %.3g GB of memory"
                          % (n_samples, store_every, phys / 1e9))

@@ -34,61 +34,18 @@ class CohSubspace(str, Enum):
     INNER_DIAG = "inner_diag"
 
 
-@dataclass(frozen=True)
-class FridgeParams:
-    """Full machine specification.
+# sweep knob -> the FridgeParams fields each grid value sets
+KNOBS = {"g": ("g",), "p_equal": ("p_c", "p_r", "p_h"), "eta": ("eta",),
+         "kappa": ("kappa",)}
 
-    eta is the design efficiency E_c/E_h; the remaining energies are derived
-    as E_h = E_c/eta and E_r = E_c + E_h (energy-conserving interaction).
-    kappa in [0, 1] scales the initial coherence amplitude on coh_subspace.
-    Every numeric field must be a finite real number, and g and the reset
-    rates p_i positive: at g = 0 or p_i = 0 there is no steady cooling
-    current and chi = Q_c/tau is 0/0. This is the one place the machine's
-    domain is checked; the solvers rely on it. g or a rate at or above
-    0.1 E_c warns PerturbativeRegimeWarning, located at the line that
-    built the FridgeParams (dataclasses.py through dataclasses.replace).
-    """
-    E_c: float
-    eta: float
-    T_c: float
-    T_r: float
-    T_h: float
-    p_c: float
-    p_r: float
-    p_h: float
-    g: float
-    kappa: float = 0.0
-    coh_subspace: CohSubspace | None = None
+PERTURBATIVE_NOTE = ("parameters outside the perturbative regime "
+                     "(g or max p_i >= 0.1 E_c); local reset description "
+                     "is approximate")
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not (isinstance(value, numbers.Real)
-                                        and math.isfinite(value)):
-                raise ValueError("%s must be a finite number" % f.name)
-        if not self.E_c > 0:
-            raise ValueError("E_c must be positive")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not (0 < self.T_c <= self.T_r <= self.T_h):
-            raise ValueError("temperatures must satisfy 0 < T_c <= T_r <= T_h")
-        for name in ("p_c", "p_r", "p_h", "g"):
-            if getattr(self, name) <= 0:
-                raise ValueError("%s must be positive" % name)
-        if not 0 <= self.kappa <= 1:
-            raise ValueError("kappa must lie in [0, 1]")
-        if self.coh_subspace is not None:
-            object.__setattr__(self, "coh_subspace", CohSubspace(self.coh_subspace))
-        if self.kappa > 0 and self.coh_subspace is None:
-            raise ValueError("kappa > 0 requires a coherence subspace")
-        # local-bath / reset description is perturbative in g and the rates
-        if self.g >= 0.1 * self.E_c or max(self.p_c, self.p_r, self.p_h) >= 0.1 * self.E_c:
-            warnings.warn(
-                "parameters outside the perturbative regime "
-                "(g or max p_i >= 0.1 E_c); local reset description is approximate",
-                PerturbativeRegimeWarning, stacklevel=3)
 
-    # derived energies -------------------------------------------------
+class _Derived:
+    """The derived energies and rates of FridgeParams and ParamGrid."""
+
     @property
     def E_h(self):
         return self.E_c / self.eta
@@ -116,6 +73,123 @@ class FridgeParams:
         return self.p_c + self.p_r + self.p_h
 
 
+@dataclass(frozen=True)
+class FridgeParams(_Derived):
+    """Full machine specification.
+
+    eta is the design efficiency E_c/E_h; the remaining energies are derived
+    as E_h = E_c/eta and E_r = E_c + E_h (energy-conserving interaction).
+    kappa in [0, 1] scales the initial coherence amplitude on coh_subspace.
+    Every numeric field must be a finite real number, and g and the reset
+    rates p_i positive: at g = 0 or p_i = 0 there is no steady cooling
+    current and chi = Q_c/tau is 0/0. domain_checks is the one statement
+    of the machine's domain; the solvers rely on it. g or a rate at or
+    above 0.1 E_c warns PerturbativeRegimeWarning, located at the line that
+    built the FridgeParams (dataclasses.py through dataclasses.replace).
+    """
+    E_c: float
+    eta: float
+    T_c: float
+    T_r: float
+    T_h: float
+    p_c: float
+    p_r: float
+    p_h: float
+    g: float
+    kappa: float = 0.0
+    coh_subspace: CohSubspace | None = None
+
+    def __post_init__(self):
+        for message, bad in domain_checks(self):
+            if bad:
+                raise ValueError(message)
+        if self.coh_subspace is not None:
+            object.__setattr__(self, "coh_subspace", CohSubspace(self.coh_subspace))
+        if outside_perturbative(self):
+            warnings.warn(PERTURBATIVE_NOTE, PerturbativeRegimeWarning,
+                          stacklevel=3)
+
+
+_FINITE_MESSAGES = [(f.name, "%s must be a finite number" % f.name)
+                    for f in fields(FridgeParams) if f.type is float]
+
+
+class ParamGrid(_Derived):
+    """The fields of a FridgeParams with those a KNOBS knob sets holding a
+    1-D array of values, or one np.float64, for broadcast evaluation.
+    Nothing is checked: domain_checks masks the rows FridgeParams would
+    refuse."""
+
+    def __init__(self, base, knob, values):
+        self.values = (np.asarray(values, dtype=float) if np.ndim(values)
+                       else np.float64(values))
+        self.__dict__.update(vars(base))
+        self.__dict__.update(dict.fromkeys(KNOBS[knob], self.values))
+
+
+def _not_finite(x):
+    if isinstance(x, float):
+        return not math.isfinite(x)
+    if isinstance(x, np.ndarray) and x.ndim:   # a ParamGrid column
+        return ~np.isfinite(x)
+    return not (isinstance(x, numbers.Real) and math.isfinite(x))
+
+
+def domain_checks(p):
+    """FridgeParams' domain checks on p, in order, as (message, bad) pairs:
+    bad is a bool, or a bool array on the columns of a ParamGrid. Lazy, so
+    a FridgeParams stops at its first failing check; a later check may
+    assume that the earlier ones pass."""
+    for name, message in _FINITE_MESSAGES:
+        yield message, _not_finite(getattr(p, name))
+    yield "E_c must be positive", p.E_c <= 0
+    yield "eta must be positive", p.eta <= 0
+    yield ("temperatures must satisfy 0 < T_c <= T_r <= T_h",
+           (p.T_c <= 0) | (p.T_c > p.T_r) | (p.T_r > p.T_h))
+    for name in ("p_c", "p_r", "p_h", "g"):
+        yield "%s must be positive" % name, getattr(p, name) <= 0
+    yield "kappa must lie in [0, 1]", (p.kappa < 0) | (p.kappa > 1)
+    yield ("kappa > 0 requires a coherence subspace",
+           (p.kappa > 0) & (p.coh_subspace is None))
+
+
+def outside_perturbative(p):
+    """Where the local-bath reset description, perturbative in g and the
+    rates, is approximate: g or max p_i >= 0.1 E_c."""
+    edge = 0.1 * p.E_c
+    return (p.g >= edge) | (p.p_c >= edge) | (p.p_r >= edge) | (p.p_h >= edge)
+
+
+# Elementwise helpers of the formulas that run on the floats of one point
+# and on the columns of a ParamGrid alike. On floats they call no numpy and
+# round as Python does; where Python raises they return what numpy gives.
+
+def _square(x):
+    """x ** 2 as Python's ** rounds it (np.square differs in the last bit
+    on ~0.1% of arguments); inf where that overflows."""
+    if isinstance(x, np.ndarray):
+        return np.float_power(x, 2)
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _quotient(a, b, at_zero):
+    """a / b, and at_zero where b == 0."""
+    if isinstance(b, np.ndarray):
+        return np.where(b == 0, at_zero, a / b)
+    return a / b if b else at_zero
+
+
+def _not(mask):
+    return ~mask if isinstance(mask, np.ndarray) else not mask
+
+
 class ThermalPopulations(NamedTuple):
     """Ground-state occupations r_i of the three qubits at their baths."""
     r_c: float
@@ -125,8 +199,13 @@ class ThermalPopulations(NamedTuple):
 
 def ground_pop(E, T):
     """Thermal ground-state probability (1 + exp(-E/T))^{-1} in (1/2, 1)
-    for E, T > 0."""
-    return 1.0 / (1.0 + math.exp(-E / T))
+    for E, T > 0; elementwise for an array E, still through math.exp (np.exp
+    differs from it in the last bit on a few percent of arguments)."""
+    x = -E / T
+    if isinstance(x, np.ndarray):
+        return 1.0 / (1.0 + np.reshape([math.exp(v) for v in x.ravel().tolist()],
+                                       x.shape))
+    return 1.0 / (1.0 + math.exp(x))
 
 
 def thermal_populations(params):
@@ -175,12 +254,14 @@ def coherence_amplitude(params):
     coherence (0.0 when kappa = 0), with r_i the thermal populations.
 
     The same magnitude formula is used for both subspaces so equal-kappa
-    comparisons are comparisons of equal coherence.
+    comparisons are comparisons of equal coherence. Elementwise on the
+    columns of a ParamGrid.
     """
-    if params.kappa == 0:
+    if isinstance(params.kappa, float) and params.kappa == 0:
         return 0.0
-    r = thermal_populations(params)
-    return params.kappa * math.sqrt(math.prod(x * (1.0 - x) for x in r))
+    r_c, r_r, r_h = thermal_populations(params)
+    return params.kappa * _sqrt(
+        r_c * (1.0 - r_c) * (r_r * (1.0 - r_r)) * (r_h * (1.0 - r_h)))
 
 
 def coherence_matrix(params):

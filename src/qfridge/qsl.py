@@ -17,10 +17,15 @@ built. The tests check these exact reductions against the direct traces.
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import FridgeError, PoleError, UndefinedChiError
-from .model import CohSubspace, coherence_amplitude, thermal_populations
-from .steady import steady_state
+from .model import (PERTURBATIVE_NOTE, CohSubspace, ParamGrid, _not,
+                    _quotient, _sqrt, _square, coherence_amplitude,
+                    domain_checks, outside_perturbative, thermal_populations)
+from .steady import steady_columns, steady_state
 
 
 class TrivialEvolutionWarning(UserWarning):
@@ -64,6 +69,11 @@ class TradeoffCoeffs:
 # the speed limit
 # ----------------------------------------------------------------------
 
+STATIONARY_NOTE = "initial state is stationary: tau = 0"
+COINCIDENT_NOTE = "initial state coincides with the steady state: tau = 0"
+_ZERO_NORM = "zero generator norm with nonzero purity gap: inconsistent inputs"
+
+
 def _initial_speed(params, steady):
     """(g^2 Delta^2, a^2, w^2): the pieces of the initial generator action.
 
@@ -74,10 +84,39 @@ def _initial_speed(params, steady):
     Both are imaginary where -q mu is real, so
     ||L[rho0]||^2 = 2 [g^2 Delta^2 + a^2 (q^2 + w^2)],
     tr(M^2) = ||-i[H, rho0]||^2 = 2 [g^2 Delta^2 + a^2 w^2], tr(mu^2) = 2 a^2.
+    Elementwise on the columns of a ParamGrid and a steady_columns result.
     """
     a = coherence_amplitude(params)
     w = 2.0 * params.E_r if params.coh_subspace is CohSubspace.OUTER_DIAG else 0.0
-    return (params.g * steady.delta) ** 2, a * a, w * w
+    return _square(params.g * steady.delta), a * a, w * w
+
+
+class _Speed(NamedTuple):
+    gap: object
+    norm: object
+    tau: object
+    chi: object
+    refused: object
+    stationary: object
+    coincident: object
+
+
+def _speed(params, steady):
+    """The signed purity gap gamma tr(rho_diag sigma) - tr(mu^2), the
+    generator norm, tau and chi from the steady scalars (a SteadyReport or
+    a steady_columns result), with the masks of qsl_time's zero-norm
+    refusal and of its two trivial-evolution cases; as floats or as
+    columns, as steady_columns computes.
+    """
+    gd2, a2, w2 = _initial_speed(params, steady)
+    norm = _sqrt(2.0 * (gd2 + a2 * (_square(params.q) + w2)))
+    gap = steady.gamma * steady.overlap - 2.0 * a2
+    zero = norm == 0.0
+    tau = _quotient(abs(gap), norm, 0.0)
+    chi = _quotient(steady.q_cool, tau, math.nan)
+    refused = zero & (abs(gap) > 1e-14)
+    return _Speed(gap, norm, tau, chi, refused, zero & _not(refused),
+                  (tau == 0.0) & _not(zero))
 
 
 def qsl_time(params, steady):
@@ -93,25 +132,97 @@ def qsl_time(params, steady):
     at near-coincident states). chi = Q_c/tau is NaN (with a
     trivial-evolution warning) when the initial state is stationary.
     """
-    gd2, a2, w2 = _initial_speed(params, steady)
-    norm = math.sqrt(2.0 * (gd2 + a2 * (params.q ** 2 + w2)))
-    gap = abs(steady.gamma * steady.overlap - 2.0 * a2)
-    if norm == 0.0:
-        if gap > 1e-14:
-            raise FridgeError(
-                "zero generator norm with nonzero purity gap: inconsistent inputs")
-        warnings.warn("initial state is stationary: tau = 0",
+    v = _speed(params, steady)
+    if v.refused:
+        raise FridgeError(_ZERO_NORM)
+    if v.stationary or v.coincident:
+        warnings.warn(STATIONARY_NOTE if v.stationary else COINCIDENT_NOTE,
                       TrivialEvolutionWarning, stacklevel=2)
-        return QslReport(tau=0.0, purity_gap=gap, generator_norm=0.0,
-                         chi=float("nan"))
-    tau = gap / norm
-    if tau == 0.0:
-        warnings.warn("initial state coincides with the steady state: tau = 0",
-                      TrivialEvolutionWarning, stacklevel=2)
-        chi = float("nan")
-    else:
-        chi = steady.q_cool / tau
-    return QslReport(tau=tau, purity_gap=gap, generator_norm=norm, chi=chi)
+    return QslReport(tau=float(v.tau), purity_gap=float(abs(v.gap)),
+                     generator_norm=float(v.norm), chi=float(v.chi))
+
+
+class PointColumns(NamedTuple):
+    """evaluate's result: Q_c, tau, chi, gamma, Delta, the signed purity
+    gap and the generator norm, each an array over the grid (a float for
+    one value), NaN on a refused row; then, one entry per row, errors, the
+    exception a point evaluation raises there or None, and notes, the
+    row's notes: "error: <message>" first on a refused row, then the
+    perturbative-regime and trivial-evolution notes, in the order that
+    building the point's FridgeParams and qsl_time warn them.
+    """
+    q_cool: object
+    tau: object
+    chi: object
+    gamma: object
+    delta: object
+    gap: object
+    norm: object
+    errors: tuple
+    notes: tuple
+
+
+def evaluate(base, knob, values):
+    """PointColumns of the machine base with the KNOBS knob set to each of
+    the 1-D values, or to one value: steady_columns and the speed limit,
+    broadcast over the grid with no FridgeParams and no 8x8 matrix per
+    point, and no warning.
+
+    A point that FridgeParams, steady_state or qsl_time would refuse is a
+    refused row carrying the first failing check of that order. numpy's
+    floating-point errors are off here: the grid's arithmetic runs to inf
+    or NaN silently, as Python floats do per point, and the checks turn
+    the non-finite results the point path refuses into refused rows.
+    """
+    p = ParamGrid(base, knob, values)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = steady_columns(p)
+        v = _speed(p, s)
+    n = np.size(p.values)
+    errors = [None] * n
+    for message, bad in domain_checks(p):
+        _refuse(errors, ValueError, message, bad)
+    pert = [i for i in _rows(outside_perturbative(p), n) if errors[i] is None]
+    for message, bad in s.refusals + ((_ZERO_NORM, v.refused),):
+        _refuse(errors, FridgeError, message, bad)
+    notes = [[] if e is None else ["error: %s" % e] for e in errors]
+    for i in pert:
+        notes[i].append(PERTURBATIVE_NOTE)
+    for note, mask in ((STATIONARY_NOTE, v.stationary),
+                       (COINCIDENT_NOTE, v.coincident)):
+        for i in _rows(mask, n):
+            if errors[i] is None:
+                notes[i].append(note)
+    refused = [i for i, e in enumerate(errors) if e is not None]
+    return PointColumns(
+        *(_column(x, p.values, refused) for x in (
+            s.q_cool, v.tau, v.chi, s.gamma, s.delta, v.gap, v.norm)),
+        tuple(errors), tuple(map(tuple, notes)))
+
+
+def _rows(mask, n):
+    """The rows of n where mask, a bool or a bool column, holds."""
+    if isinstance(mask, np.ndarray):
+        return np.flatnonzero(mask).tolist()
+    return range(n) if mask else ()
+
+
+def _refuse(errors, error, message, bad):
+    """Give the rows bad refuses, and no earlier check did, that error."""
+    if bad is not False:
+        for i in _rows(bad, len(errors)):
+            if errors[i] is None:
+                errors[i] = error(message)
+
+
+def _column(x, values, refused):
+    """x on the shape of values, NaN on the refused rows."""
+    if not isinstance(values, np.ndarray):
+        return math.nan if refused else float(x)
+    col = np.empty(values.shape)
+    col[:] = x
+    col[refused] = np.nan
+    return col
 
 
 def bsocr(params):
@@ -214,7 +325,7 @@ def bsocr_coherent_coeffs(params):
     delta, lam, q, g = steady.delta, steady.lam, params.q, params.g
     if delta == 0.0:
         raise PoleError("coefficients undefined where the bias Delta vanishes")
-    gd2, a2, w2 = _initial_speed(params, steady)
+    gd2, a2, w2 = map(float, _initial_speed(params, steady))
 
     pi1 = steady.overlap
     pi2 = 2.0 * a2

@@ -18,11 +18,13 @@ unit tests keep that cross-check alive.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FridgeError
-from .model import IDX_INNER, thermal_factors, thermal_populations
+from .model import (IDX_INNER, _not, _quotient, _square,
+                    thermal_populations)
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,44 @@ def rate_combos(p_c, p_r, p_h):
              (p_r * q_h + p_h * q_r) / p_c))
 
 
+# the bits (c, r, h) of each diagonal index k = 4c + 2r + h, and there the
+# signs of sigma's terms (see sigma_matrix): Zc, Zr, Zh, Z_rh, Z_ch, Z_cr
+# and Z_crh
+_BITS = [((k >> 2) & 1, (k >> 1) & 1, k & 1) for k in range(8)]
+_ZCRH = {(0, 1, 0): 1.0, (1, 0, 1): -1.0}
+_SIGNS = [(1.0 - 2 * c, 2 * r - 1.0, 1.0 - 2 * h,
+           _ZCRH.get((0, r, h), 0.0) + _ZCRH.get((1, r, h), 0.0),
+           _ZCRH.get((c, 0, h), 0.0) + _ZCRH.get((c, 1, h), 0.0),
+           _ZCRH.get((c, r, 0), 0.0) + _ZCRH.get((c, r, 1), 0.0),
+           _ZCRH.get((c, r, h), 0.0)) for c, r, h in _BITS]
+
+
+def _diagonals(r, qs, Qs):
+    """The diagonals of the thermal product and of sigma (see sigma_matrix)
+    as two lists over k = 0..7 of scalars, or of arrays on the columns of
+    a ParamGrid: each entry is the product of the factors r_i or 1 - r_i
+    its bits pick, and the signed sum of sigma's terms there."""
+    q_c, q_r, q_h = qs
+    Q_cr, Q_ch, Q_rh = Qs
+    f = [(x, 1.0 - x) for x in r]
+    rho, sigma = [], []
+    for (c, r_, h), (zc, zr, zh, zrh, zch, zcr, zcrh) in zip(_BITS, _SIGNS):
+        tc, tr, th = f[0][c], f[1][r_], f[2][h]
+        trth = tr * th
+        rho.append(tc * trth)
+        sigma.append(Q_rh * (zc * trth) + Q_ch * (zr * (tc * th))
+                     + Q_cr * (zh * (tc * tr)) + q_c * (tc * zrh)
+                     + q_r * (tr * zch) + q_h * (th * zcr) + zcrh)
+    return rho, sigma
+
+
+def _sigma_from_diag(diag, y):
+    sig = np.diag(diag).astype(complex)
+    i, j = IDX_INNER
+    sig[j, i], sig[i, j] = 1j * y, -1j * y
+    return sig
+
+
 def sigma_matrix(factors, qs, Qs, y):
     """The traceless Hermitian steady-state correction matrix sigma.
 
@@ -73,27 +113,11 @@ def sigma_matrix(factors, qs, Qs, y):
     y = q/2g, Zc = Zh = diag(1, -1), Zr = diag(-1, 1),
     Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh on its own qubits,
     and Y = i|101><010| - i|010><101|. Every term but the last is a
-    diagonal product operator, built as a broadcast product of the factors
-    and (1, -1) on their (2, 2, 2) grid; the sum is sigma's diagonal and
-    y Y its only off-diagonal pair.
+    diagonal product operator, summed entry by entry on the diagonal
+    (_diagonals); y Y is sigma's only off-diagonal pair.
     """
-    q_c, q_r, q_h = qs
-    Q_cr, Q_ch, Q_rh = Qs
-    tc, tr, th = factors
-    z = np.array([1.0, -1.0])
-    zcrh = np.zeros((2, 2, 2))
-    zcrh[0, 1, 0], zcrh[1, 0, 1] = 1.0, -1.0
-    diag = (Q_rh * (z.reshape(2, 1, 1) * (tr * th))
-            + Q_ch * (-z.reshape(1, 2, 1) * (tc * th))
-            + Q_cr * (z.reshape(1, 1, 2) * (tc * tr))
-            + q_c * (tc * zcrh.sum(axis=0, keepdims=True))
-            + q_r * (tr * zcrh.sum(axis=1, keepdims=True))
-            + q_h * (th * zcrh.sum(axis=2, keepdims=True))
-            + zcrh)
-    sig = np.diag(diag.ravel()).astype(complex)
-    i, j = IDX_INNER
-    sig[j, i], sig[i, j] = 1j * y, -1j * y
-    return sig
+    r = [float(f.flat[0]) for f in factors]
+    return _sigma_from_diag(_diagonals(r, qs, Qs)[1], y)
 
 
 def carnot_cop(T_c, T_r, T_h):
@@ -107,20 +131,38 @@ def carnot_cop(T_c, T_r, T_h):
     return (1.0 / T_r - 1.0 / T_h) / (1.0 / T_c - 1.0 / T_r)
 
 
-def steady_state(params):
-    """Full SteadyReport: rho_f = rho0(kappa=0) + gamma*sigma and its scalars.
+class SteadyColumns(NamedTuple):
+    """steady_columns' result: the scalars of SteadyReport (arrays on a
+    ParamGrid), the diagonals of the thermal product and of sigma as lists
+    over k = 0..7, and the refusals as (message, bad) pairs in the order
+    steady_state checks them."""
+    q: object
+    delta: object
+    gamma: object
+    lam: object
+    overlap: object
+    q_cool: object
+    rho_diag: list
+    sigma_diag: list
+    refusals: tuple
+
+
+def steady_columns(p):
+    """The steady state's scalars at a FridgeParams, or their columns at a
+    ParamGrid, as a SteadyColumns: every formula of the steady state but
+    sigma's off-diagonal pair.
 
     Delta = r_c rbar_r r_h - rbar_c r_r rbar_h vanishes at global
     equilibrium and at the Carnot point; the machine cools when Delta < 0,
-    equivalently gamma = -Delta/(lambda + q^2/(2g^2)) > 0. The steady
-    state does not depend on kappa (the generator is kappa-independent;
-    only the initial state is). Q_c = q*gamma*E_c. FridgeError where
-    lambda + q^2/(2g^2) overflows (disparate rates, or a tiny g), or
-    where g^2 or q^2 does (a huge g or rate).
+    equivalently gamma = -Delta/(lambda + q^2/(2g^2)) > 0. Q_c = q*gamma*E_c.
+    On the floats of a FridgeParams the arithmetic is Python's, as it was
+    per point; on a ParamGrid it runs in numpy under the caller's
+    errstate. Squares round as Python's ** does, and tr(rho_diag sigma)
+    adds its eight terms in the order of the strided BLAS dot product of
+    the diagonal of an 8x8 sigma, so both give the same bits.
     """
-    q, qs, Qs = rate_combos(*params.ps)
-    r = thermal_populations(params)
-    r_c, r_r, r_h = r
+    q, qs, Qs = rate_combos(*p.ps)
+    r = r_c, r_r, r_h = thermal_populations(p)
     delta = r_c * (1.0 - r_r) * r_h - (1.0 - r_c) * r_r * (1.0 - r_h)
     # lambda = 2 + sum_i q_i + sum_jk Q_jk Omega_jk over {cr, ch, rh}, with
     # Omega_jk = r'_j r'_k + (1-r'_j)(1-r'_k) the same-state (XNOR)
@@ -133,26 +175,43 @@ def steady_state(params):
           for j, k in ((0, 1), (0, 2), (1, 2))]
     lam = (2.0 + qs[0] + qs[1] + qs[2]
            + Qs[0] * om[0] + Qs[1] * om[1] + Qs[2] * om[2])
-    try:   # ** raises where * would give inf; g2 = 0.0 once g ** 2 underflows
-        g2, q2 = 2.0 * params.g ** 2, q ** 2
-    except OverflowError:
-        raise FridgeError("g^2 or q^2 overflows (huge g or rate)") from None
-    den = lam + q2 / g2 if g2 else math.inf
-    if not math.isfinite(den):   # a rate ratio or q^2/2g^2 overflowed
-        raise FridgeError("lambda + q^2/(2g^2) overflows: reset rates too "
-                          "disparate or g too small")
+    gg, qq = _square(p.g), _square(q)
+    den = lam + _quotient(qq, 2.0 * gg, math.inf)   # 2 g^2 may underflow
     gamma = -delta / den
-    factors = thermal_factors(r)
-    tc, tr, th = factors
-    rho_diag = (tc * (tr * th)).ravel()
-    sigma = sigma_matrix(factors, qs, Qs, q / (2.0 * params.g))
+    rho_diag, sigma_diag = _diagonals(r, qs, Qs)
+    m = [x * y for x, y in zip(rho_diag, sigma_diag)]
+    overlap = ((m[0] + m[2]) + (m[4] + m[6])) + ((m[1] + m[3]) + (m[5] + m[7]))
+    # where Python's ** raises: a finite g or q whose square overflows
+    squares = (gg == math.inf) | ((qq == math.inf) & (q != math.inf))
+    return SteadyColumns(
+        q, delta, gamma, lam, overlap, q * gamma * p.E_c, rho_diag,
+        sigma_diag,
+        (("g^2 or q^2 overflows (huge g or rate)", squares),
+         ("lambda + q^2/(2g^2) overflows: reset rates too disparate or g "
+          "too small", _not(den < math.inf))))
+
+
+def steady_state(params):
+    """Full SteadyReport: rho_f = rho0(kappa=0) + gamma*sigma and its scalars.
+
+    The scalars are steady_columns'. The steady state does not depend on
+    kappa (the generator is kappa-independent; only the initial state is).
+    FridgeError where lambda + q^2/(2g^2) overflows (disparate rates, or a
+    tiny g), or where g^2 or q^2 does (a huge g or rate).
+    """
+    s = steady_columns(params)
+    for message, bad in s.refusals:
+        if bad:
+            raise FridgeError(message)
+    gamma = float(s.gamma)
+    sigma = _sigma_from_diag(s.sigma_diag, s.q / (2.0 * params.g))
     return SteadyReport(
-        delta=delta,
+        delta=float(s.delta),
         gamma=gamma,
-        lam=lam,
-        overlap=float(rho_diag @ sigma.diagonal().real),
+        lam=float(s.lam),
+        overlap=float(s.overlap),
         sigma=sigma,
-        rho_f=np.diag(rho_diag) + gamma * sigma,
-        q_cool=q * gamma * params.E_c,
-        is_fridge=bool(gamma > 0),
+        rho_f=np.diag(s.rho_diag) + gamma * sigma,
+        q_cool=float(s.q_cool),
+        is_fridge=gamma > 0,
     )

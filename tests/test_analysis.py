@@ -1,15 +1,18 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qfridge import (BoundaryMaximumError, FridgeError, FridgeParams,
-                     HighTemperatureValidityWarning, PoleError, SweepSpec,
-                     bsocr, carnot_cop, chi_highT, eta_opt_asymptotic,
-                     f_function, maximize_chi_over_eta, run_sweep,
-                     steady_state)
+from qfridge import (BoundaryMaximumError, CohSubspace, FridgeError,
+                     FridgeParams, HighTemperatureValidityWarning, PoleError,
+                     SweepSpec, bsocr, carnot_cop, chi_highT,
+                     eta_opt_asymptotic, f_function, maximize_chi_over_eta,
+                     qsl_time, run_sweep, steady_state)
 from qfridge import analysis
+from qfridge.analysis import SweepRecord
+from qfridge.qsl import evaluate
 
 
 # ----------------------------------------------------------------------
@@ -74,14 +77,85 @@ def test_kappa_sweep_roundtrip(coherent_params):
     assert records[1].chi > records[0].chi   # the boost regime at g = 0.05
 
 
+def _pointwise_sweep(spec):
+    """The sweep one point at a time, as run_sweep did before the
+    evaluator: a FridgeParams, steady_state and qsl_time per grid value, a
+    refusal caught into an error row, the point's warnings into notes."""
+    records = []
+    for value in spec.grid:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                pt = dataclasses.replace(
+                    spec.base, **dict.fromkeys(analysis.KNOBS[spec.knob],
+                                               value))
+                srep = steady_state(pt)
+                qrep = qsl_time(pt, srep)
+                values = (srep.q_cool, qrep.tau, qrep.chi, srep.gamma,
+                          srep.delta, srep.is_fridge)
+                notes = ()
+            except (FridgeError, ValueError) as exc:
+                values = (float("nan"),) * 5 + (False,)
+                notes = (f"error: {exc}",)
+        records.append(SweepRecord(value, *values, notes + tuple(
+            str(w.message) for w in caught)))
+    return records
+
+
+_BASE = dict(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
+             p_c=0.05, p_r=0.05, p_h=0.05, g=0.05)
+_OUTER = dict(_BASE, kappa=0.5, coh_subspace=CohSubspace.OUTER_DIAG)
+
+
+@pytest.mark.parametrize("base, knob, grid", [
+    # g <= 0, non-finite, tiny (lambda + q^2/2g^2 overflows), perturbative,
+    # huge (g^2 overflows, after the perturbative note's FridgeParams)
+    (_BASE, "g", (-np.inf, -0.01, 0.0, 1e-200, 1e-161, 0.05, 0.12, 1e150,
+                  1e200, np.inf)),
+    (_BASE, "g", (np.nan,)),
+    (_BASE, "p_equal", (-0.01, 0.0, 1e-310, 1e-170, 0.05, 0.2, 1e200,
+                        1e308)),
+    (_BASE, "p_equal", (np.inf,)),
+    # E/T >= 37 on every qubit, or on the room qubit: a stationary start
+    (dict(_BASE, T_c=0.02, T_r=0.02, T_h=0.02), "g", (0.01, 0.05, 0.2)),
+    (dict(_BASE, E_c=40.0), "g", (0.01, 0.05)),
+    # heating points
+    (dict(_BASE, eta=1.0, T_r=5.0, p_c=0.1, p_r=0.1, p_h=0.1, g=0.01), "g",
+     (0.005, 0.01, 0.5)),
+    # q^2 underflows: zero generator norm under a nonzero purity gap
+    (dict(_BASE, g=1e-161, kappa=1.0, coh_subspace=CohSubspace.INNER_DIAG),
+     "p_equal", (1e-170, 1e-100, 0.05)),
+    (_OUTER, "kappa", (0.0, 0.5, 1.0)),
+    (dict(_OUTER, coh_subspace=CohSubspace.INNER_DIAG), "kappa",
+     (0.0, 0.5, 1.0)),
+    (_OUTER, "kappa", (np.nan,)),
+    # E_c/eta overflows: a silent NaN row on the outer subspace
+    (dict(_BASE, coh_subspace=CohSubspace.OUTER_DIAG), "eta",
+     (1e-310, 1e-200, 1e-100, 0.1, 0.8)),
+    (_BASE, "eta", (1e-310, 1e-200, 0.1, 0.8)),
+], ids=["g", "g-nan", "p", "p-inf", "cold", "cold-room", "heating",
+        "zero-norm", "kappa-outer", "kappa-inner", "kappa-nan", "eta-outer",
+        "eta"])
+def test_run_sweep_matches_the_pointwise_loop(base, knob, grid):
+    spec = SweepSpec(base=FridgeParams(**base), knob=knob, grid=grid)
+    got, want = run_sweep(spec), _pointwise_sweep(spec)
+    assert [r.warnings for r in got] == [r.warnings for r in want]
+    assert [r.is_fridge for r in got] == [r.is_fridge for r in want]
+    fields = ("knob_value", "q_cool", "tau", "chi", "gamma", "delta")
+    np.testing.assert_allclose(
+        [[getattr(r, f) for f in fields] for r in got],
+        [[getattr(r, f) for f in fields] for r in want],
+        rtol=1e-13, atol=0.0)
+
+
 def test_runtime_warnings_pass_the_library_filters(cooling_params,
                                                    monkeypatch):
     # the sweep and the optimizer filter only the library's UserWarnings:
-    # a numpy RuntimeWarning inside a point reaches an error filter
-    def steady_warns(params):
+    # a numpy RuntimeWarning inside the evaluator reaches an error filter
+    def evaluate_warns(base, knob, values):
         warnings.warn("overflow encountered", RuntimeWarning)
-        return steady_state(params)
-    monkeypatch.setattr(analysis, "steady_state", steady_warns)
+        return evaluate(base, knob, values)
+    monkeypatch.setattr(analysis, "evaluate", evaluate_warns)
     spec = SweepSpec(base=cooling_params, knob="g", grid=(0.01, 0.02))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -150,13 +224,35 @@ def test_grid_refine_keeps_the_scan_maximum(cooling_params, monkeypatch):
     # section misses the spike and the dense cell grid straddles it
     lo, hi = 0.05, 0.4
     spike = float(np.linspace(lo, hi, 64)[20])
-    monkeypatch.setattr(analysis, "_chi_at_eta",
-                        lambda params, eta: 2.0 if abs(eta - spike) < 5e-7
-                        else 1.0)
+
+    def spiked(base, knob, values):
+        chi = np.where(abs(np.asarray(values) - spike) < 5e-7, 2.0, 1.0)
+        return SimpleNamespace(chi=chi if chi.ndim else float(chi),
+                               errors=(None,) * chi.size)
+    monkeypatch.setattr(analysis, "evaluate", spiked)
     opt = maximize_chi_over_eta(cooling_params, bracket=(lo, hi))
     assert opt.method == "grid_refine"
     assert opt.chi_star == 2.0
     assert opt.eta_star == spike
+
+
+def test_maximizer_raises_the_first_failing_scan_point(cooling_params,
+                                                       monkeypatch):
+    # every scan point refused: the error of the first
+    with pytest.raises(FridgeError, match="lambda"):
+        maximize_chi_over_eta(dataclasses.replace(cooling_params, g=1e-200))
+
+    # two refused scan points: the lower one's error, of its own type
+    def refusing(base, knob, values):
+        pts = evaluate(base, knob, values)
+        if np.ndim(values):
+            errors = list(pts.errors)
+            errors[40], errors[20] = FridgeError("at 40"), ValueError("at 20")
+            pts = pts._replace(errors=tuple(errors))
+        return pts
+    monkeypatch.setattr(analysis, "evaluate", refusing)
+    with pytest.raises(ValueError, match="at 20"):
+        maximize_chi_over_eta(cooling_params, bracket=(0.05, 0.4))
 
 
 def test_maximizer_boundary_spike_raises():

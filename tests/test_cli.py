@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qfridge import (ConfigError, SweepSpec, evolve, run_sweep, steady_state,
                      trace_distance)
 from qfridge import analysis
+from qfridge.qsl import evaluate
 from qfridge.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY,
                          main, parse_config)
 from qfridge.verify import CheckResult
@@ -252,11 +254,11 @@ def test_sweep_warnings_cell_round_trips(tmp_path, monkeypatch):
     # notes of one row are joined by ';'
     notes = ('chi, "roughly"', "second")
 
-    def steady_warns(params):
+    def evaluate_warns(base, knob, values):
         for note in notes:
             warnings.warn(note, UserWarning)
-        return steady_state(params)
-    monkeypatch.setattr(analysis, "steady_state", steady_warns)
+        return evaluate(base, knob, values)
+    monkeypatch.setattr(analysis, "evaluate", evaluate_warns)
     out = tmp_path / "sweep.csv"
     argv = (["sweep", "--knob", "g", "--lin", "0.01", "0.02", "2"] + FIG2
             + ["--out", str(out)])
@@ -282,6 +284,52 @@ def test_sweep_refusal_is_a_config_error(tmp_path, capsys, argv):
     out = tmp_path / "sweep.csv"
     assert main(["sweep"] + argv + ["--out", str(out)]) == EXIT_CONFIG
     assert _config_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--log", "1e-3", "0", "5"], "--log grid requires HI > 0, got 0.0"),
+    (["--log", "1e-3", "-1", "5"], "--log grid requires HI > 0, got -1.0"),
+    (["--log", "1e-3", "inf", "3"],
+     "--log grid requires a finite HI, got inf"),
+    (["--lin", "1e-3", "inf", "3"],
+     "--lin grid requires a finite HI, got inf"),
+], ids=["log-to-zero", "log-to-negative", "log-to-inf", "lin-to-inf"])
+def test_sweep_grid_bound_is_a_config_error(tmp_path, capsys, grid,
+                                            message):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--knob", "g"] + grid + FIG2 + ["--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def _physical_memory(monkeypatch, n_bytes):
+    """Make os.sysconf report n_bytes of physical memory."""
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": n_bytes}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+
+
+def test_sweep_grid_past_physical_memory_is_refused(tmp_path, capsys,
+                                                    monkeypatch):
+    # 10,000 points of ~720 bytes do not fit in 1 MB; a 1e15-point grid
+    # would not fit anywhere, and neither grid is built
+    out, path = tmp_path / "sweep.csv", tmp_path / "run.json"
+    argv = ["sweep", "--knob", "g"] + FIG2 + ["--out", str(out)]
+    with monkeypatch.context() as patch:
+        _physical_memory(patch, 10 ** 6)
+        assert main(argv + ["--lin", "1e-3", "1e-1", "10000"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: sweep: 10000 grid points need more than the "
+            "machine's 0.001 GB of memory\n")
+        path.write_text(json.dumps({"grid": [0.01 + 1e-6 * k
+                                             for k in range(10000)]}))
+        assert main(argv + ["--config", str(path)]) == EXIT_CONFIG
+        assert _config_error_line(capsys)
+    assert main(argv + ["--log", "1e-3", "1e-1", "1e15"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: sweep: 1000000000000000 grid points need more than "
+        "the machine's ")
     assert not out.exists()
 
 

@@ -1,12 +1,13 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from qfridge import (CohSubspace, IntegrationError, steady_state,
                      trace_distance)
-from qfridge.dynamics import (HERM_DRIFT_TOL, MIN_EIG_TOL, SECTORS,
-                              TRACE_DRIFT_TOL, _blocks, _check_states,
+from qfridge.dynamics import (HERM_DRIFT_TOL, MIN_EIG_TOL, SAMPLE_BYTES,
+                              SECTORS, TRACE_DRIFT_TOL, _blocks, _check_states,
                               _sectors, convergence_time, default_dt,
                               default_t_end, evolve, heat_current_cold,
                               liouvillian_apply, liouvillian_matrix)
@@ -236,6 +237,27 @@ def test_evolve_refuses_a_stack_larger_than_memory(cooling_params):
     with pytest.raises(ValueError,
                        match=r"1000000000001 stored samples \(store_every=1\)"):
         evolve(cooling_params, t_end=1e4, dt=1e-8, store_every=1)
+
+
+_SECTOR_1 = np.eye(8) / 8
+_SECTOR_1[0, 1] = _SECTOR_1[1, 0] = 0.05   # |000><001| lies in sector 1
+
+
+@pytest.mark.parametrize("rho0, factor", [(None, 1.5), (_SECTOR_1, 3.0)],
+                         ids=["sector-0", "sectors-0-1"])
+def test_evolve_counts_the_drift_check_in_its_memory_guard(
+        cooling_params, monkeypatch, rho0, factor):
+    # the physical memory holds the stored samples but not the drift
+    # check's temporaries beside them (1.90x the stack on a sector-0 run,
+    # 4.02x on any other, as tracemalloc read them)
+    run = dict(rho0=rho0, t_end=1.0, store_every=1)
+    n = len(evolve(cooling_params, **run))
+    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": int(factor * n * SAMPLE_BYTES)}
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    with pytest.raises(ValueError, match="%d stored samples" % n):
+        evolve(cooling_params, **run)
+    sizes["SC_PHYS_PAGES"] = int(4.2 * n * SAMPLE_BYTES)
+    assert len(evolve(cooling_params, **run)) == n
 
 
 def test_evolve_accepts_an_integral_float_store_every(cooling_params):

@@ -3,15 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qfridge import (CohSubspace, FridgeError, NonCoolingWarning,
                      TrivialEvolutionWarning, UndefinedChiError, bsocr,
                      bsocr_coherent_coeffs, chi_from_g_form, initial_state,
                      qsl_time, steady_state, tradeoff_coeffs)
 from qfridge import qsl
-from qfridge.dynamics import liouvillian_apply
+from qfridge.dynamics import heat_current_cold, liouvillian_apply
 from qfridge.linalg import trace_product
-from qfridge.qsl import bsocr_closed_equal_p, chi_from_p_form
+from qfridge.model import (KNOBS, PERTURBATIVE_NOTE, coherence_matrix,
+                           thermal_factors, thermal_populations,
+                           thermal_product)
+from qfridge.qsl import bsocr_closed_equal_p, chi_from_p_form, evaluate
+from qfridge.steady import rate_combos, sigma_matrix
 from conftest import random_params
 
 
@@ -117,6 +122,55 @@ def test_bsocr_refuses_tau_zero(cooling_params, monkeypatch):
     with pytest.warns(TrivialEvolutionWarning), \
             pytest.raises(UndefinedChiError):
         bsocr(cooling_params)
+
+
+# ----------------------------------------------------------------------
+# the broadcast evaluator against the 8x8 path
+# ----------------------------------------------------------------------
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(KNOBS)),
+       st.sampled_from([None, CohSubspace.OUTER_DIAG,
+                        CohSubspace.INNER_DIAG]))
+def test_evaluator_matches_the_8x8_path(seed, knob, sub):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng, kappa=float(rng.uniform()) if sub else 0.0,
+                           subspace=sub)
+    value = getattr(params, KNOBS[knob][0])
+    grid = ([0.0, value] if knob == "kappa" and sub
+            else [0.0] if knob == "kappa" else [0.5 * value, value])
+    pts = evaluate(params, knob, np.array(grid))
+    for i, v in enumerate(grid):
+        pt = dataclasses.replace(params, **dict.fromkeys(KNOBS[knob], v))
+        # sigma and the thermal product as 8x8 matrices; gamma as the
+        # least-squares zero of the generator on rho_diag + gamma sigma
+        q, qs, Qs = rate_combos(*pt.ps)
+        r = thermal_populations(pt)
+        sigma = sigma_matrix(thermal_factors(r), qs, Qs, q / (2.0 * pt.g))
+        rho_d = thermal_product(r)
+        l_d, l_s = liouvillian_apply(pt, rho_d), liouvillian_apply(pt, sigma)
+        gamma = -np.vdot(l_s, l_d).real / np.vdot(l_s, l_s).real
+        rho_f = rho_d + gamma * sigma
+        rho0 = initial_state(pt)
+        mu = coherence_matrix(pt)
+        terms = (gamma * trace_product(rho_d, sigma).real,
+                 trace_product(mu, mu).real)
+        gap, scale = terms[0] - terms[1], max(map(abs, terms))
+        norm = np.linalg.norm(liouvillian_apply(pt, rho0))
+        q_cool = heat_current_cold(pt, rho_f)
+        assert pts.errors[i] is None
+        assert set(pts.notes[i]) <= {PERTURBATIVE_NOTE}
+        assert pts.gamma[i] == pytest.approx(gamma, rel=1e-10)
+        assert pts.delta[i] == pytest.approx(
+            (rho_d[2, 2] - rho_d[5, 5]).real, rel=1e-12, abs=1e-17)
+        assert abs(pts.q_cool[i] - q_cool) <= 1e-13 * pt.p_c * pt.E_c
+        assert pts.gap[i] == pytest.approx(gap, abs=1e-10 * scale)
+        assert pts.norm[i] == pytest.approx(norm, rel=1e-12)
+        # a tiny gap is the pole of tau -> 0, where its digits are round-off
+        if abs(gap) > 1e-6 * scale:
+            assert pts.tau[i] == pytest.approx(abs(gap) / norm, rel=1e-8)
+            assert pts.chi[i] == pytest.approx(pts.q_cool[i] / pts.tau[i],
+                                               rel=1e-14)
 
 
 # ----------------------------------------------------------------------
