@@ -187,9 +187,9 @@ def maximize_chi_over_eta(params, bracket=None):
                 f"chi(lo)={raw[0]:.6g}, chi(hi)={raw[-1]:.6g}, "
                 f"chi(best)={vals[i]:.6g}")
 
-        eta_star = golden_section_max(chi, float(xs[i - 1]),
+        eta_star = golden_section_max(lambda x: chi(x)[0], float(xs[i - 1]),
                                       float(xs[i + 1]), 1e-8)
-        chi_star = chi(eta_star)
+        chi_star = float(chi(eta_star)[0])
         method = "golden_section"
         if chi_star + 1e-15 < vals[i]:
             # non-unimodal cell: dense scan of the cell, which straddles the

@@ -36,9 +36,8 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
 
-# peak bytes per sweep grid point, the CSV written: tracemalloc read 424
-# on valid rows and up to 717 on refused rows with notes, over in-process
-# sweeps of 1e4 to 1e5 points
+# peak bytes per sweep grid point, CSV written: tracemalloc read 424 on
+# valid rows, up to 717 on refused rows with notes (1e4 to 1e5 points)
 SWEEP_POINT_BYTES = 720
 
 
@@ -214,16 +213,9 @@ def _build_params(settings, seed=None):
         raise ConfigError(str(exc))
 
 
-def _check_grid_size(n):
-    """Refuse, before it is built, a sweep grid of n points whose
-    evaluation would not fit in the machine's physical memory."""
-    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if n * SWEEP_POINT_BYTES > phys:
-        raise ConfigError("sweep: %d grid points need more than the "
-                          "machine's %.3g GB of memory" % (n, phys / 1e9))
-
-
 def _sweep_grid(settings):
+    """The sweep grid, refused before it is built where its evaluation
+    would not fit in the machine's physical memory."""
     log, lin, grid = (settings.get(k) for k in ("log", "lin", "grid"))
     given = [name for name, v in (("log", log), ("lin", lin),
                                   ("grid", grid)) if v is not None]
@@ -231,23 +223,26 @@ def _sweep_grid(settings):
         raise ConfigError("sweep needs exactly one grid source: "
                           "--log LO HI N, --lin LO HI N, or a config "
                           f"'grid' list (got {given or 'none'})")
+    if grid is None:
+        lo, hi, n = (log if log is not None else lin)
+        if not (math.isfinite(n) and n == int(n) and n >= 1):
+            raise ConfigError(f"grid point count must be a positive "
+                              f"integer, got {n}")
+        for name, bound in (("LO", lo), ("HI", hi)):
+            if not math.isfinite(bound):
+                raise ConfigError(f"--{given[0]} grid requires a finite "
+                                  f"{name}, got {bound}")
+            if log is not None and bound <= 0:
+                raise ConfigError(f"--log grid requires {name} > 0, got "
+                                  f"{bound}")
+    n = len(grid) if grid is not None else int(n)
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n * SWEEP_POINT_BYTES > phys:
+        raise ConfigError("sweep: %d grid points need more than the "
+                          "machine's %.3g GB of memory" % (n, phys / 1e9))
     if grid is not None:
-        _check_grid_size(len(grid))
         return tuple(float(v) for v in grid)
-    lo, hi, n = (log if log is not None else lin)
-    if not (math.isfinite(n) and n == int(n) and n >= 1):
-        raise ConfigError(f"grid point count must be a positive integer, "
-                          f"got {n}")
-    flag = "--log" if log is not None else "--lin"
-    for name, bound in (("LO", lo), ("HI", hi)):
-        if not math.isfinite(bound):
-            raise ConfigError(f"{flag} grid requires a finite {name}, "
-                              f"got {bound}")
-        if log is not None and bound <= 0:
-            raise ConfigError(f"--log grid requires {name} > 0, got {bound}")
-    _check_grid_size(int(n))
-    space = np.geomspace if log is not None else np.linspace
-    return tuple(space(lo, hi, int(n)))
+    return tuple((np.geomspace if log is not None else np.linspace)(lo, hi, n))
 
 
 def _sweep_columns(settings):

@@ -41,12 +41,10 @@ MIN_EIG_TOL = -1e-8
 # bytes per stored sample: a complex 8x8 state and its time
 SAMPLE_BYTES = 64 * 16 + 8
 
-# a run's peak memory per stored sample, in SAMPLE_BYTES, as tracemalloc
-# read it (1.90 and 4.02): the drift check of a sector-0 stack holds
-# (n, 16) temporaries beside it, that of any other stack conjugates,
-# differences and diagonalizes the whole (n, 8, 8) stack
-PEAK_FACTOR_SECTOR_0 = 2.0
-PEAK_FACTOR_OTHER = 4.1
+# a run's peak memory in SAMPLE_BYTES per stored sample (tracemalloc read
+# 1.90 and 4.02): the drift check's temporaries beside the stack, (n, 16)
+# on sector 0, the whole (n, 8, 8) stack's Hermitian parts and eigvalsh else
+PEAK_FACTOR_SECTOR_0, PEAK_FACTOR_OTHER = 2.0, 4.1
 
 # flat indices 8a + b of the matrix units |a><b| in each of the four
 # sectors a^b in {d, d^7}, d = 0..3, that the generator never mixes; unit

@@ -7,6 +7,7 @@ through a reset channel of rate p_i. A resonant three-body interaction of
 strength g couples |010> and |101>. Units: hbar = k_B = 1.
 """
 
+import copy
 import math
 import numbers
 import warnings
@@ -37,15 +38,47 @@ class CohSubspace(str, Enum):
 # sweep knob -> the FridgeParams fields each grid value sets
 KNOBS = {"g": ("g",), "p_equal": ("p_c", "p_r", "p_h"), "eta": ("eta",),
          "kappa": ("kappa",)}
-
-PERTURBATIVE_NOTE = ("parameters outside the perturbative regime "
-                     "(g or max p_i >= 0.1 E_c); local reset description "
-                     "is approximate")
+PERTURBATIVE_NOTE = ("parameters outside the perturbative regime (g or max "
+                     "p_i >= 0.1 E_c); local reset description is approximate")
 
 
-class _Derived:
-    """The derived energies and rates of FridgeParams and ParamGrid."""
+@dataclass(frozen=True)
+class FridgeParams:
+    """Full machine specification.
 
+    eta is the design efficiency E_c/E_h; the remaining energies are derived
+    as E_h = E_c/eta and E_r = E_c + E_h (energy-conserving interaction).
+    kappa in [0, 1] scales the initial coherence amplitude on coh_subspace.
+    Every numeric field must be a finite real number, and g and the reset
+    rates p_i positive: at g = 0 or p_i = 0 there is no steady cooling
+    current and chi = Q_c/tau is 0/0. domain_checks states the machine's
+    domain once; the solvers rely on it. g or a rate at or above 0.1 E_c
+    warns PerturbativeRegimeWarning, located at the line that built the
+    FridgeParams (dataclasses.py through dataclasses.replace).
+    """
+    E_c: float
+    eta: float
+    T_c: float
+    T_r: float
+    T_h: float
+    p_c: float
+    p_r: float
+    p_h: float
+    g: float
+    kappa: float = 0.0
+    coh_subspace: CohSubspace | None = None
+
+    def __post_init__(self):
+        for message, bad in domain_checks(self):
+            if bad:
+                raise ValueError(message)
+        if self.coh_subspace is not None:
+            object.__setattr__(self, "coh_subspace", CohSubspace(self.coh_subspace))
+        if outside_perturbative(self):
+            warnings.warn(PERTURBATIVE_NOTE, PerturbativeRegimeWarning,
+                          stacklevel=3)
+
+    # derived energies -------------------------------------------------
     @property
     def E_h(self):
         return self.E_c / self.eta
@@ -72,122 +105,59 @@ class _Derived:
         """Total reset rate p_c + p_r + p_h."""
         return self.p_c + self.p_r + self.p_h
 
-
-@dataclass(frozen=True)
-class FridgeParams(_Derived):
-    """Full machine specification.
-
-    eta is the design efficiency E_c/E_h; the remaining energies are derived
-    as E_h = E_c/eta and E_r = E_c + E_h (energy-conserving interaction).
-    kappa in [0, 1] scales the initial coherence amplitude on coh_subspace.
-    Every numeric field must be a finite real number, and g and the reset
-    rates p_i positive: at g = 0 or p_i = 0 there is no steady cooling
-    current and chi = Q_c/tau is 0/0. domain_checks is the one statement
-    of the machine's domain; the solvers rely on it. g or a rate at or
-    above 0.1 E_c warns PerturbativeRegimeWarning, located at the line that
-    built the FridgeParams (dataclasses.py through dataclasses.replace).
-    """
-    E_c: float
-    eta: float
-    T_c: float
-    T_r: float
-    T_h: float
-    p_c: float
-    p_r: float
-    p_h: float
-    g: float
-    kappa: float = 0.0
-    coh_subspace: CohSubspace | None = None
-
-    def __post_init__(self):
-        for message, bad in domain_checks(self):
-            if bad:
-                raise ValueError(message)
-        if self.coh_subspace is not None:
-            object.__setattr__(self, "coh_subspace", CohSubspace(self.coh_subspace))
-        if outside_perturbative(self):
-            warnings.warn(PERTURBATIVE_NOTE, PerturbativeRegimeWarning,
-                          stacklevel=3)
-
-
-_FINITE_MESSAGES = [(f.name, "%s must be a finite number" % f.name)
-                    for f in fields(FridgeParams) if f.type is float]
-
-
-class ParamGrid(_Derived):
-    """The fields of a FridgeParams with those a KNOBS knob sets holding a
-    1-D array of values, or one np.float64, for broadcast evaluation.
-    Nothing is checked: domain_checks masks the rows FridgeParams would
-    refuse."""
-
-    def __init__(self, base, knob, values):
-        self.values = (np.asarray(values, dtype=float) if np.ndim(values)
-                       else np.float64(values))
-        self.__dict__.update(vars(base))
-        self.__dict__.update(dict.fromkeys(KNOBS[knob], self.values))
-
-
-def _not_finite(x):
-    if isinstance(x, float):
-        return not math.isfinite(x)
-    if isinstance(x, np.ndarray) and x.ndim:   # a ParamGrid column
-        return ~np.isfinite(x)
-    return not (isinstance(x, numbers.Real) and math.isfinite(x))
+    def grid(self, knob, values):
+        """A copy whose KNOBS knob fields hold the 1-D values, or one
+        np.float64, unchecked, for broadcast evaluation: domain_checks
+        masks what __post_init__ would refuse."""
+        p = copy.copy(self)
+        p.__dict__.update(dict.fromkeys(KNOBS[knob], np.asarray(
+            values, dtype=float) if np.ndim(values) else np.float64(values)))
+        return p
 
 
 def domain_checks(p):
-    """FridgeParams' domain checks on p, in order, as (message, bad) pairs:
-    bad is a bool, or a bool array on the columns of a ParamGrid. Lazy, so
-    a FridgeParams stops at its first failing check; a later check may
-    assume that the earlier ones pass."""
-    for name, message in _FINITE_MESSAGES:
-        yield message, _not_finite(getattr(p, name))
+    """FridgeParams' checks on p in order, as (message, bad) pairs, bad a
+    bool array on a grid's columns. Lazy: a check may assume that the
+    earlier ones pass."""
+    for f in fields(FridgeParams):
+        x = getattr(p, f.name)
+        if f.type is float:
+            yield f"{f.name} must be a finite number", (
+                ~np.isfinite(x) if isinstance(x, np.ndarray) and x.ndim else
+                not (isinstance(x, (float, numbers.Real)) and math.isfinite(x)))
     yield "E_c must be positive", p.E_c <= 0
     yield "eta must be positive", p.eta <= 0
     yield ("temperatures must satisfy 0 < T_c <= T_r <= T_h",
            (p.T_c <= 0) | (p.T_c > p.T_r) | (p.T_r > p.T_h))
     for name in ("p_c", "p_r", "p_h", "g"):
-        yield "%s must be positive" % name, getattr(p, name) <= 0
+        yield f"{name} must be positive", getattr(p, name) <= 0
     yield "kappa must lie in [0, 1]", (p.kappa < 0) | (p.kappa > 1)
     yield ("kappa > 0 requires a coherence subspace",
            (p.kappa > 0) & (p.coh_subspace is None))
 
 
 def outside_perturbative(p):
-    """Where the local-bath reset description, perturbative in g and the
-    rates, is approximate: g or max p_i >= 0.1 E_c."""
+    """g or max p_i >= 0.1 E_c: the local reset description, perturbative
+    in g and the rates, is approximate there."""
     edge = 0.1 * p.E_c
     return (p.g >= edge) | (p.p_c >= edge) | (p.p_r >= edge) | (p.p_h >= edge)
 
 
-# Elementwise helpers of the formulas that run on the floats of one point
-# and on the columns of a ParamGrid alike. On floats they call no numpy and
-# round as Python does; where Python raises they return what numpy gives.
+# x ** 2 and a / b (at_zero where b == 0), elementwise on grid columns;
+# on one point's floats with no numpy call and Python's rounding, inf
+# where ** raises (np.float_power rounds as ** does, np.square need not)
 
 def _square(x):
-    """x ** 2 as Python's ** rounds it (np.square differs in the last bit
-    on ~0.1% of arguments); inf where that overflows."""
-    if isinstance(x, np.ndarray):
-        return np.float_power(x, 2)
     try:
-        return float(x) ** 2
+        return np.float_power(x, 2) if isinstance(x, np.ndarray) else x ** 2
     except OverflowError:
         return math.inf
 
 
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def _quotient(a, b, at_zero):
-    """a / b, and at_zero where b == 0."""
     if isinstance(b, np.ndarray):
         return np.where(b == 0, at_zero, a / b)
     return a / b if b else at_zero
-
-
-def _not(mask):
-    return ~mask if isinstance(mask, np.ndarray) else not mask
 
 
 class ThermalPopulations(NamedTuple):
@@ -199,12 +169,11 @@ class ThermalPopulations(NamedTuple):
 
 def ground_pop(E, T):
     """Thermal ground-state probability (1 + exp(-E/T))^{-1} in (1/2, 1)
-    for E, T > 0; elementwise for an array E, still through math.exp (np.exp
+    for E, T > 0; elementwise on a 1-D array E, still with math.exp (np.exp
     differs from it in the last bit on a few percent of arguments)."""
     x = -E / T
     if isinstance(x, np.ndarray):
-        return 1.0 / (1.0 + np.reshape([math.exp(v) for v in x.ravel().tolist()],
-                                       x.shape))
+        return 1.0 / (1.0 + np.array([math.exp(v) for v in x.tolist()]))
     return 1.0 / (1.0 + math.exp(x))
 
 
@@ -220,20 +189,13 @@ def thermal_qubit(r):
     return np.diag([r, 1.0 - r]).astype(complex)
 
 
-def thermal_factors(r):
-    """The diagonals (r_i, 1 - r_i) of tau_c, tau_r, tau_h on the axes 0, 1,
-    2 of a (2, 2, 2) grid whose flat index is k = 4c + 2r + h: broadcast
-    products of them are diagonals of product operators, e.g. tc * (tr * th)
-    that of tau_c (x) tau_r (x) tau_h, equal to the Kronecker product.
-    """
-    return tuple(np.reshape([x, 1.0 - x], shape) for x, shape in
-                 zip(r, ((2, 1, 1), (1, 2, 1), (1, 1, 2))))
-
-
 def thermal_product(r):
-    """The thermal product state tau_c (x) tau_r (x) tau_h, 8x8 diagonal."""
-    tc, tr, th = thermal_factors(r)
-    return np.diag((tc * (tr * th)).ravel()).astype(complex)
+    """The thermal product state tau_c (x) tau_r (x) tau_h, 8x8 diagonal:
+    at k = 4c + 2r + h the product of the factors r_i or 1 - r_i that k's
+    bits pick."""
+    tc, tr, th = ((x, 1.0 - x) for x in r)
+    return np.diag([a * (b * c) for a in tc for b in tr for c in th]
+                   ).astype(complex)
 
 
 def build_hamiltonian(params):
@@ -254,13 +216,12 @@ def coherence_amplitude(params):
     coherence (0.0 when kappa = 0), with r_i the thermal populations.
 
     The same magnitude formula is used for both subspaces so equal-kappa
-    comparisons are comparisons of equal coherence. Elementwise on the
-    columns of a ParamGrid.
+    comparisons are comparisons of equal coherence. Elementwise on a grid.
     """
     if isinstance(params.kappa, float) and params.kappa == 0:
         return 0.0
     r_c, r_r, r_h = thermal_populations(params)
-    return params.kappa * _sqrt(
+    return params.kappa * np.sqrt(
         r_c * (1.0 - r_c) * (r_r * (1.0 - r_r)) * (r_h * (1.0 - r_h)))
 
 

@@ -9,22 +9,24 @@ steady state rho_f under the reset generator:
 chi multiplies the steady cooling rate by the maximal evolution speed; it
 upper-bounds the time-averaged transient cooling acceleration.
 
-Every quantity here is a scalar formula in the SteadyReport's scalars
-and the coherence amplitude a of rho0 = rho_diag + mu; no 8x8 matrix is
-built. The tests check these exact reductions against the direct traces.
+Every quantity here is a scalar formula in the steady scalars and the
+coherence amplitude a of rho0 = rho_diag + mu; no 8x8 matrix is built.
+The tests check these exact reductions against the direct traces.
+evaluate computes them, with Q_c, for a whole grid of one knob in one
+broadcast pass; qsl_time and the steady state read the same formulas.
 """
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FridgeError, PoleError, UndefinedChiError
-from .model import (PERTURBATIVE_NOTE, CohSubspace, ParamGrid, _not,
-                    _quotient, _sqrt, _square, coherence_amplitude,
-                    domain_checks, outside_perturbative, thermal_populations)
+from .model import (PERTURBATIVE_NOTE, CohSubspace, _quotient, _square,
+                    coherence_amplitude, domain_checks, outside_perturbative,
+                    thermal_populations)
 from .steady import steady_columns, steady_state
 
 
@@ -84,39 +86,25 @@ def _initial_speed(params, steady):
     Both are imaginary where -q mu is real, so
     ||L[rho0]||^2 = 2 [g^2 Delta^2 + a^2 (q^2 + w^2)],
     tr(M^2) = ||-i[H, rho0]||^2 = 2 [g^2 Delta^2 + a^2 w^2], tr(mu^2) = 2 a^2.
-    Elementwise on the columns of a ParamGrid and a steady_columns result.
     """
     a = coherence_amplitude(params)
     w = 2.0 * params.E_r if params.coh_subspace is CohSubspace.OUTER_DIAG else 0.0
     return _square(params.g * steady.delta), a * a, w * w
 
 
-class _Speed(NamedTuple):
-    gap: object
-    norm: object
-    tau: object
-    chi: object
-    refused: object
-    stationary: object
-    coincident: object
-
-
 def _speed(params, steady):
-    """The signed purity gap gamma tr(rho_diag sigma) - tr(mu^2), the
-    generator norm, tau and chi from the steady scalars (a SteadyReport or
-    a steady_columns result), with the masks of qsl_time's zero-norm
-    refusal and of its two trivial-evolution cases; as floats or as
-    columns, as steady_columns computes.
-    """
-    gd2, a2, w2 = _initial_speed(params, steady)
-    norm = _sqrt(2.0 * (gd2 + a2 * (_square(params.q) + w2)))
-    gap = steady.gamma * steady.overlap - 2.0 * a2
+    """The signed purity gap, the generator norm, tau and chi from steady's
+    scalars, then the masks of qsl_time's zero-norm refusal and of its
+    stationary and coinciding starts; floats or grid columns."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gd2, a2, w2 = _initial_speed(params, steady)
+        norm = np.sqrt(2.0 * (gd2 + a2 * (_square(params.q) + w2)))
+        gap = steady.gamma * steady.overlap - 2.0 * a2
+        tau = _quotient(abs(gap), norm, 0.0)
+        chi = _quotient(steady.q_cool, tau, np.nan)
     zero = norm == 0.0
-    tau = _quotient(abs(gap), norm, 0.0)
-    chi = _quotient(steady.q_cool, tau, math.nan)
-    refused = zero & (abs(gap) > 1e-14)
-    return _Speed(gap, norm, tau, chi, refused, zero & _not(refused),
-                  (tau == 0.0) & _not(zero))
+    return (gap, norm, tau, chi, zero & (abs(gap) > 1e-14),
+            zero & (abs(gap) <= 1e-14), (tau == 0.0) & (norm != 0.0))
 
 
 def qsl_time(params, steady):
@@ -132,97 +120,63 @@ def qsl_time(params, steady):
     at near-coincident states). chi = Q_c/tau is NaN (with a
     trivial-evolution warning) when the initial state is stationary.
     """
-    v = _speed(params, steady)
-    if v.refused:
+    gap, norm, tau, chi, refused, stationary, coincident = _speed(params,
+                                                                  steady)
+    if refused:
         raise FridgeError(_ZERO_NORM)
-    if v.stationary or v.coincident:
-        warnings.warn(STATIONARY_NOTE if v.stationary else COINCIDENT_NOTE,
+    if stationary or coincident:
+        warnings.warn(STATIONARY_NOTE if stationary else COINCIDENT_NOTE,
                       TrivialEvolutionWarning, stacklevel=2)
-    return QslReport(tau=float(v.tau), purity_gap=float(abs(v.gap)),
-                     generator_norm=float(v.norm), chi=float(v.chi))
+    return QslReport(tau=float(tau), purity_gap=float(abs(gap)),
+                     generator_norm=float(norm), chi=float(chi))
 
 
-class PointColumns(NamedTuple):
-    """evaluate's result: Q_c, tau, chi, gamma, Delta, the signed purity
-    gap and the generator norm, each an array over the grid (a float for
-    one value), NaN on a refused row; then, one entry per row, errors, the
-    exception a point evaluation raises there or None, and notes, the
-    row's notes: "error: <message>" first on a refused row, then the
-    perturbative-regime and trivial-evolution notes, in the order that
-    building the point's FridgeParams and qsl_time warn them.
-    """
-    q_cool: object
-    tau: object
-    chi: object
-    gamma: object
-    delta: object
-    gap: object
-    norm: object
-    errors: tuple
-    notes: tuple
+# evaluate's result: per grid row, Q_c, tau, chi, gamma, Delta, the signed
+# purity gap and the generator norm (NaN on a refused row), the exception
+# the row's point raises or None, and its notes
+PointColumns = namedtuple("PointColumns",
+                          "q_cool tau chi gamma delta gap norm errors notes")
 
 
 def evaluate(base, knob, values):
-    """PointColumns of the machine base with the KNOBS knob set to each of
-    the 1-D values, or to one value: steady_columns and the speed limit,
-    broadcast over the grid with no FridgeParams and no 8x8 matrix per
-    point, and no warning.
-
-    A point that FridgeParams, steady_state or qsl_time would refuse is a
-    refused row carrying the first failing check of that order. numpy's
-    floating-point errors are off here: the grid's arithmetic runs to inf
-    or NaN silently, as Python floats do per point, and the checks turn
-    the non-finite results the point path refuses into refused rows.
+    """PointColumns of base with the KNOBS knob at each of the 1-D values,
+    or at one value: one broadcast pass, with no FridgeParams, 8x8 matrix
+    or warning per point. A row's notes are "error: " and the first check
+    of FridgeParams, steady_state and qsl_time its point fails, then the
+    perturbative-regime and trivial-evolution warnings the point gives.
     """
-    p = ParamGrid(base, knob, values)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = steady_columns(p)
-        v = _speed(p, s)
-    n = np.size(p.values)
-    errors = [None] * n
-    for message, bad in domain_checks(p):
-        _refuse(errors, ValueError, message, bad)
-    pert = [i for i in _rows(outside_perturbative(p), n) if errors[i] is None]
-    for message, bad in s.refusals + ((_ZERO_NORM, v.refused),):
-        _refuse(errors, FridgeError, message, bad)
-    notes = [[] if e is None else ["error: %s" % e] for e in errors]
-    for i in pert:
-        notes[i].append(PERTURBATIVE_NOTE)
-    for note, mask in ((STATIONARY_NOTE, v.stationary),
-                       (COINCIDENT_NOTE, v.coincident)):
+    p = base.grid(knob, values)
+    s = steady_columns(p)
+    gap, norm, tau, chi, zero_norm, stationary, coincident = _speed(p, s)
+    n = np.size(values)
+    errors, notes = [None] * n, [()] * n
+    checks = ([(ValueError, m, bad) for m, bad in domain_checks(p)]
+              + [(FridgeError, m, bad) for m, bad in s.refusals]
+              + [(FridgeError, _ZERO_NORM, zero_norm)])
+    for error, message, bad in reversed(checks):   # the first one wins
+        for i in _rows(bad, n) if bad is not False else ():
+            errors[i], notes[i] = error(message), ("error: " + message,)
+    for i in _rows(outside_perturbative(p), n):
+        if not isinstance(errors[i], ValueError):   # FridgeParams was built
+            notes[i] += (PERTURBATIVE_NOTE,)
+    for note, mask in ((STATIONARY_NOTE, stationary),
+                       (COINCIDENT_NOTE, coincident)):
         for i in _rows(mask, n):
             if errors[i] is None:
-                notes[i].append(note)
-    refused = [i for i, e in enumerate(errors) if e is not None]
-    return PointColumns(
-        *(_column(x, p.values, refused) for x in (
-            s.q_cool, v.tau, v.chi, s.gamma, s.delta, v.gap, v.norm)),
-        tuple(errors), tuple(map(tuple, notes)))
+                notes[i] += (note,)
+    cols = np.empty((7, n))
+    for col, x in zip(cols, (s.q_cool, tau, chi, s.gamma, s.delta, gap, norm)):
+        col[:] = x
+    if any(errors):
+        cols[:, [i for i, e in enumerate(errors) if e is not None]] = np.nan
+    return PointColumns(*cols, tuple(errors), tuple(notes))
 
 
 def _rows(mask, n):
     """The rows of n where mask, a bool or a bool column, holds."""
-    if isinstance(mask, np.ndarray):
-        return np.flatnonzero(mask).tolist()
+    if isinstance(mask, np.ndarray) and mask.ndim:
+        return np.flatnonzero(mask)
     return range(n) if mask else ()
-
-
-def _refuse(errors, error, message, bad):
-    """Give the rows bad refuses, and no earlier check did, that error."""
-    if bad is not False:
-        for i in _rows(bad, len(errors)):
-            if errors[i] is None:
-                errors[i] = error(message)
-
-
-def _column(x, values, refused):
-    """x on the shape of values, NaN on the refused rows."""
-    if not isinstance(values, np.ndarray):
-        return math.nan if refused else float(x)
-    col = np.empty(values.shape)
-    col[:] = x
-    col[refused] = np.nan
-    return col
 
 
 def bsocr(params):

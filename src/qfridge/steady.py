@@ -2,29 +2,29 @@
 the rate combinations, the population bias Delta, the weight lambda, the
 amplitude gamma, the correction matrix sigma, the overlap
 tr(rho_diag sigma), the cooling rate Q_c, and the Carnot coefficient of
-performance. steady_state is the one place where the scalars of a point
-are computed; qsl reads them from its SteadyReport.
+performance. steady_columns is the one place where these scalars are
+computed, on one point's floats or on a grid's columns alike;
+steady_state adds the 8x8 matrices, and qsl reads the scalars.
 
 The steady state has the closed form rho_f = rho_diag + gamma * sigma
 where rho_diag is the thermal product state and sigma is a fixed traceless
 Hermitian matrix built from the thermal populations and the reset-rate
 combinations: an 8-vector diagonal plus one off-diagonal pair. Both
-diagonals come from one grid of thermal factors per point.
+diagonals are summed entry by entry from the factors r_i and 1 - r_i.
 Both gamma's sign convention and the population pairing inside lambda were
 pinned against an independent 64x64 null-space solve of the generator
 (residuals at machine precision across equal and unequal rate sets); the
 unit tests keep that cross-check alive.
 """
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FridgeError
-from .model import (IDX_INNER, _not, _quotient, _square,
-                    thermal_populations)
+from .model import (IDX_INNER, _quotient, _square, thermal_populations,
+                    thermal_product)
 
 
 @dataclass(frozen=True)
@@ -64,60 +64,49 @@ def rate_combos(p_c, p_r, p_h):
              (p_r * q_h + p_h * q_r) / p_c))
 
 
-# the bits (c, r, h) of each diagonal index k = 4c + 2r + h, and there the
-# signs of sigma's terms (see sigma_matrix): Zc, Zr, Zh, Z_rh, Z_ch, Z_cr
-# and Z_crh
-_BITS = [((k >> 2) & 1, (k >> 1) & 1, k & 1) for k in range(8)]
-_ZCRH = {(0, 1, 0): 1.0, (1, 0, 1): -1.0}
-_SIGNS = [(1.0 - 2 * c, 2 * r - 1.0, 1.0 - 2 * h,
-           _ZCRH.get((0, r, h), 0.0) + _ZCRH.get((1, r, h), 0.0),
-           _ZCRH.get((c, 0, h), 0.0) + _ZCRH.get((c, 1, h), 0.0),
-           _ZCRH.get((c, r, 0), 0.0) + _ZCRH.get((c, r, 1), 0.0),
-           _ZCRH.get((c, r, h), 0.0)) for c, r, h in _BITS]
+# at each diagonal index k = 4c + 2r + h, (c, r, h) and the signs of
+# sigma's terms (see sigma_matrix): Zc, Zr, Zh, Z_rh, Z_ch, Z_cr, Z_crh
+_Z = {(0, 1, 0): 1.0, (1, 0, 1): -1.0}.get
+_SIGNS = [((c, r, h), (1.0 - 2 * c, 2 * r - 1.0, 1.0 - 2 * h,
+                       _Z((0, r, h), 0.0) + _Z((1, r, h), 0.0),
+                       _Z((c, 0, h), 0.0) + _Z((c, 1, h), 0.0),
+                       _Z((c, r, 0), 0.0) + _Z((c, r, 1), 0.0),
+                       _Z((c, r, h), 0.0)))
+          for c in (0, 1) for r in (0, 1) for h in (0, 1)]
 
 
-def _diagonals(r, qs, Qs):
-    """The diagonals of the thermal product and of sigma (see sigma_matrix)
-    as two lists over k = 0..7 of scalars, or of arrays on the columns of
-    a ParamGrid: each entry is the product of the factors r_i or 1 - r_i
-    its bits pick, and the signed sum of sigma's terms there."""
-    q_c, q_r, q_h = qs
-    Q_cr, Q_ch, Q_rh = Qs
+def _sigma_diagonal(r, qs, Qs):
+    """sigma's diagonal as a list over k of floats, or of grid
+    columns: the signed sum of its product-operator terms there."""
+    (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = qs, Qs
     f = [(x, 1.0 - x) for x in r]
-    rho, sigma = [], []
-    for (c, r_, h), (zc, zr, zh, zrh, zch, zcr, zcrh) in zip(_BITS, _SIGNS):
+    out = []
+    for (c, r_, h), (zc, zr, zh, zrh, zch, zcr, zcrh) in _SIGNS:
         tc, tr, th = f[0][c], f[1][r_], f[2][h]
-        trth = tr * th
-        rho.append(tc * trth)
-        sigma.append(Q_rh * (zc * trth) + Q_ch * (zr * (tc * th))
-                     + Q_cr * (zh * (tc * tr)) + q_c * (tc * zrh)
-                     + q_r * (tr * zch) + q_h * (th * zcr) + zcrh)
-    return rho, sigma
+        out.append(Q_rh * (zc * (tr * th)) + Q_ch * (zr * (tc * th))
+                   + Q_cr * (zh * (tc * tr)) + q_c * (tc * zrh)
+                   + q_r * (tr * zch) + q_h * (th * zcr) + zcrh)
+    return out
 
 
-def _sigma_from_diag(diag, y):
-    sig = np.diag(diag).astype(complex)
-    i, j = IDX_INNER
-    sig[j, i], sig[i, j] = 1j * y, -1j * y
-    return sig
-
-
-def sigma_matrix(factors, qs, Qs, y):
+def sigma_matrix(r, qs, Qs, y):
     """The traceless Hermitian steady-state correction matrix sigma.
 
     sigma = Q_rh Zc x tau_r x tau_h + Q_ch tau_c x Zr x tau_h
           + Q_cr tau_c x tau_r x Zh + q_c tau_c x Z_rh
           + q_r (tau_r at the middle slot) Z_ch + q_h Z_cr x tau_h
           + Z_crh + y Y,
-    with factors = model.thermal_factors(r), (qs, Qs) from rate_combos,
+    with r the thermal populations, (qs, Qs) from rate_combos,
     y = q/2g, Zc = Zh = diag(1, -1), Zr = diag(-1, 1),
     Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh on its own qubits,
     and Y = i|101><010| - i|010><101|. Every term but the last is a
-    diagonal product operator, summed entry by entry on the diagonal
-    (_diagonals); y Y is sigma's only off-diagonal pair.
+    diagonal product operator, summed entry by entry (_sigma_diagonal);
+    y Y is sigma's only off-diagonal pair.
     """
-    r = [float(f.flat[0]) for f in factors]
-    return _sigma_from_diag(_diagonals(r, qs, Qs)[1], y)
+    sig = np.diag(_sigma_diagonal(r, qs, Qs)).astype(complex)
+    i, j = IDX_INNER
+    sig[j, i], sig[i, j] = 1j * y, -1j * y
+    return sig
 
 
 def carnot_cop(T_c, T_r, T_h):
@@ -131,64 +120,52 @@ def carnot_cop(T_c, T_r, T_h):
     return (1.0 / T_r - 1.0 / T_h) / (1.0 / T_c - 1.0 / T_r)
 
 
-class SteadyColumns(NamedTuple):
-    """steady_columns' result: the scalars of SteadyReport (arrays on a
-    ParamGrid), the diagonals of the thermal product and of sigma as lists
-    over k = 0..7, and the refusals as (message, bad) pairs in the order
-    steady_state checks them."""
-    q: object
-    delta: object
-    gamma: object
-    lam: object
-    overlap: object
-    q_cool: object
-    rho_diag: list
-    sigma_diag: list
-    refusals: tuple
+# steady_columns' result: SteadyReport's scalars, and the refusals as
+# (message, bad) pairs in the order steady_state checks them
+SteadyColumns = namedtuple("SteadyColumns",
+                           "delta gamma lam overlap q_cool refusals")
 
 
 def steady_columns(p):
-    """The steady state's scalars at a FridgeParams, or their columns at a
-    ParamGrid, as a SteadyColumns: every formula of the steady state but
-    sigma's off-diagonal pair.
+    """SteadyColumns of a FridgeParams, or of a grid's columns.
 
     Delta = r_c rbar_r r_h - rbar_c r_r rbar_h vanishes at global
     equilibrium and at the Carnot point; the machine cools when Delta < 0,
     equivalently gamma = -Delta/(lambda + q^2/(2g^2)) > 0. Q_c = q*gamma*E_c.
-    On the floats of a FridgeParams the arithmetic is Python's, as it was
-    per point; on a ParamGrid it runs in numpy under the caller's
-    errstate. Squares round as Python's ** does, and tr(rho_diag sigma)
-    adds its eight terms in the order of the strided BLAS dot product of
-    the diagonal of an 8x8 sigma, so both give the same bits.
+    As on Python floats, the arithmetic runs to inf or NaN silently and
+    squares round as ** does; tr(rho_diag sigma) adds its terms in the
+    order of the strided BLAS dot product of an 8x8 sigma's diagonal.
     """
-    q, qs, Qs = rate_combos(*p.ps)
-    r = r_c, r_r, r_h = thermal_populations(p)
-    delta = r_c * (1.0 - r_r) * r_h - (1.0 - r_c) * r_r * (1.0 - r_h)
-    # lambda = 2 + sum_i q_i + sum_jk Q_jk Omega_jk over {cr, ch, rh}, with
-    # Omega_jk = r'_j r'_k + (1-r'_j)(1-r'_k) the same-state (XNOR)
-    # combination of the primed populations r' = (r_c, rbar_r, r_h). It is
-    # the unique variant under which rho0 + gamma*sigma annihilates the
-    # generator: the printed asymmetric form and its symmetrization both
-    # fail the residual test by many orders of magnitude (verify's arbiter).
-    rp = (r_c, 1.0 - r_r, r_h)
-    om = [rp[j] * rp[k] + (1.0 - rp[j]) * (1.0 - rp[k])
-          for j, k in ((0, 1), (0, 2), (1, 2))]
-    lam = (2.0 + qs[0] + qs[1] + qs[2]
-           + Qs[0] * om[0] + Qs[1] * om[1] + Qs[2] * om[2])
-    gg, qq = _square(p.g), _square(q)
-    den = lam + _quotient(qq, 2.0 * gg, math.inf)   # 2 g^2 may underflow
-    gamma = -delta / den
-    rho_diag, sigma_diag = _diagonals(r, qs, Qs)
-    m = [x * y for x, y in zip(rho_diag, sigma_diag)]
-    overlap = ((m[0] + m[2]) + (m[4] + m[6])) + ((m[1] + m[3]) + (m[5] + m[7]))
-    # where Python's ** raises: a finite g or q whose square overflows
-    squares = (gg == math.inf) | ((qq == math.inf) & (q != math.inf))
-    return SteadyColumns(
-        q, delta, gamma, lam, overlap, q * gamma * p.E_c, rho_diag,
-        sigma_diag,
-        (("g^2 or q^2 overflows (huge g or rate)", squares),
-         ("lambda + q^2/(2g^2) overflows: reset rates too disparate or g "
-          "too small", _not(den < math.inf))))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q, qs, Qs = rate_combos(*p.ps)
+        r = r_c, r_r, r_h = thermal_populations(p)
+        delta = r_c * (1.0 - r_r) * r_h - (1.0 - r_c) * r_r * (1.0 - r_h)
+        # lambda = 2 + sum_i q_i + sum_jk Q_jk Omega_jk over {cr, ch, rh},
+        # with Omega_jk = r'_j r'_k + (1-r'_j)(1-r'_k) the same-state
+        # (XNOR) combination of the primed populations r' = (r_c, rbar_r,
+        # r_h). It is the unique variant under which rho0 + gamma*sigma
+        # annihilates the generator: the printed asymmetric form and its
+        # symmetrization both fail the residual test by many orders of
+        # magnitude (verify's arbiter).
+        rp = (r_c, 1.0 - r_r, r_h)
+        om = [rp[j] * rp[k] + (1.0 - rp[j]) * (1.0 - rp[k])
+              for j, k in ((0, 1), (0, 2), (1, 2))]
+        lam = (2.0 + qs[0] + qs[1] + qs[2]
+               + Qs[0] * om[0] + Qs[1] * om[1] + Qs[2] * om[2])
+        gg, qq = _square(p.g), _square(q)
+        den = lam + _quotient(qq, 2.0 * gg, np.inf)   # 2 g^2 may underflow
+        gamma = -delta / den
+        f = [(x, 1.0 - x) for x in r]
+        m = [f[0][c] * (f[1][r_] * f[2][h]) * x for ((c, r_, h), _), x
+             in zip(_SIGNS, _sigma_diagonal(r, qs, Qs))]
+        overlap = (((m[0] + m[2]) + (m[4] + m[6]))
+                   + ((m[1] + m[3]) + (m[5] + m[7])))
+        q_cool = q * gamma * p.E_c
+    return SteadyColumns(delta, gamma, lam, overlap, q_cool, (
+        ("g^2 or q^2 overflows (huge g or rate)",   # where ** raises
+         (gg == np.inf) | ((qq == np.inf) & (q < np.inf))),
+        ("lambda + q^2/(2g^2) overflows: reset rates too disparate or g "
+         "too small", ~np.isfinite(den))))
 
 
 def steady_state(params):
@@ -203,15 +180,9 @@ def steady_state(params):
     for message, bad in s.refusals:
         if bad:
             raise FridgeError(message)
-    gamma = float(s.gamma)
-    sigma = _sigma_from_diag(s.sigma_diag, s.q / (2.0 * params.g))
-    return SteadyReport(
-        delta=float(s.delta),
-        gamma=gamma,
-        lam=float(s.lam),
-        overlap=float(s.overlap),
-        sigma=sigma,
-        rho_f=np.diag(s.rho_diag) + gamma * sigma,
-        q_cool=float(s.q_cool),
-        is_fridge=gamma > 0,
-    )
+    q, qs, Qs = rate_combos(*params.ps)
+    r, gamma = thermal_populations(params), float(s.gamma)
+    sigma = sigma_matrix(r, qs, Qs, q / (2.0 * params.g))
+    return SteadyReport(s.delta, gamma, s.lam, s.overlap, sigma,
+                        thermal_product(r) + gamma * sigma, float(s.q_cool),
+                        gamma > 0)

@@ -129,13 +129,16 @@ _OUTER = dict(_BASE, kappa=0.5, coh_subspace=CohSubspace.OUTER_DIAG)
     (dict(_OUTER, coh_subspace=CohSubspace.INNER_DIAG), "kappa",
      (0.0, 0.5, 1.0)),
     (_OUTER, "kappa", (np.nan,)),
+    # a knob the note or refusal does not depend on: every row has it
+    (dict(_BASE, g=0.2), "eta", (0.1, 0.5)),
+    (dict(_OUTER, g=1e-200), "kappa", (0.0, 0.5)),
     # E_c/eta overflows: a silent NaN row on the outer subspace
     (dict(_BASE, coh_subspace=CohSubspace.OUTER_DIAG), "eta",
      (1e-310, 1e-200, 1e-100, 0.1, 0.8)),
     (_BASE, "eta", (1e-310, 1e-200, 0.1, 0.8)),
 ], ids=["g", "g-nan", "p", "p-inf", "cold", "cold-room", "heating",
-        "zero-norm", "kappa-outer", "kappa-inner", "kappa-nan", "eta-outer",
-        "eta"])
+        "zero-norm", "kappa-outer", "kappa-inner", "kappa-nan",
+        "eta-perturbative", "kappa-tiny-g", "eta-outer", "eta"])
 def test_run_sweep_matches_the_pointwise_loop(base, knob, grid):
     spec = SweepSpec(base=FridgeParams(**base), knob=knob, grid=grid)
     got, want = run_sweep(spec), _pointwise_sweep(spec)
@@ -226,9 +229,8 @@ def test_grid_refine_keeps_the_scan_maximum(cooling_params, monkeypatch):
     spike = float(np.linspace(lo, hi, 64)[20])
 
     def spiked(base, knob, values):
-        chi = np.where(abs(np.asarray(values) - spike) < 5e-7, 2.0, 1.0)
-        return SimpleNamespace(chi=chi if chi.ndim else float(chi),
-                               errors=(None,) * chi.size)
+        chi = np.where(abs(np.atleast_1d(values) - spike) < 5e-7, 2.0, 1.0)
+        return SimpleNamespace(chi=chi, errors=(None,) * chi.size)
     monkeypatch.setattr(analysis, "evaluate", spiked)
     opt = maximize_chi_over_eta(cooling_params, bracket=(lo, hi))
     assert opt.method == "grid_refine"

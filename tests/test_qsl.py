@@ -13,8 +13,7 @@ from qfridge import qsl
 from qfridge.dynamics import heat_current_cold, liouvillian_apply
 from qfridge.linalg import trace_product
 from qfridge.model import (KNOBS, PERTURBATIVE_NOTE, coherence_matrix,
-                           thermal_factors, thermal_populations,
-                           thermal_product)
+                           thermal_populations, thermal_product)
 from qfridge.qsl import bsocr_closed_equal_p, chi_from_p_form, evaluate
 from qfridge.steady import rate_combos, sigma_matrix
 from conftest import random_params
@@ -146,7 +145,7 @@ def test_evaluator_matches_the_8x8_path(seed, knob, sub):
         # least-squares zero of the generator on rho_diag + gamma sigma
         q, qs, Qs = rate_combos(*pt.ps)
         r = thermal_populations(pt)
-        sigma = sigma_matrix(thermal_factors(r), qs, Qs, q / (2.0 * pt.g))
+        sigma = sigma_matrix(r, qs, Qs, q / (2.0 * pt.g))
         rho_d = thermal_product(r)
         l_d, l_s = liouvillian_apply(pt, rho_d), liouvillian_apply(pt, sigma)
         gamma = -np.vdot(l_s, l_d).real / np.vdot(l_s, l_s).real

@@ -7,7 +7,7 @@ from qfridge import FridgeError, FridgeParams, carnot_cop, steady_state
 from qfridge.dynamics import liouvillian_apply, liouvillian_matrix
 from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
                             trace_product)
-from qfridge.model import (IDX_INNER, thermal_factors, thermal_populations,
+from qfridge.model import (IDX_INNER, thermal_populations,
                            thermal_qubit)
 from qfridge.steady import rate_combos, sigma_matrix
 from conftest import random_params
@@ -162,7 +162,7 @@ def test_sigma_matrix_equals_the_embedded_terms(cooling_params,
     fixtures = [cooling_params, heating_params, unequal_rate_params]
     for params in fixtures + [random_params(rng) for _ in range(60)]:
         q, qs, Qs = rate_combos(*params.ps)
-        sigma = sigma_matrix(thermal_factors(thermal_populations(params)),
+        sigma = sigma_matrix(thermal_populations(params),
                              qs, Qs, q / (2.0 * params.g))
         assert np.array_equal(sigma, _sigma_by_embedding(params))
         assert np.array_equal(steady_state(params).sigma, sigma)
