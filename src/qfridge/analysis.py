@@ -1,6 +1,7 @@
 """Parameter sweeps, maximization of chi over the efficiency, and the
 high-temperature closed forms (F-function, approximate chi, and the
-efficiency-at-maximal-chi root formula with its scaling limit).
+efficiency-at-maximal-chi root formula with its scaling limit). A sweep,
+and the optimizer's scan, take one qsl.evaluate call for the whole grid.
 """
 
 import math

@@ -5,7 +5,8 @@ The argparse parser is the one registry of settings: a config file may
 hold exactly the invoked subcommand's flag names (plus 'grid' for sweep),
 with values of the types those flags parse to.
 Physics and integrator inputs are validated by the library; run() maps
-its refusals to exit codes.
+its refusals to exit codes. A sweep grid's bounds and size are checked
+here, before the grid is built.
 
 Exit codes: 0 ok, 2 config error, 3 computation error, 4 verification
 failure. Identical configs produce byte-identical CSV output.

@@ -1,5 +1,7 @@
-"""Machine construction: parameters, thermal populations, Hamiltonian,
-and the (optionally coherent) initial state.
+"""Machine construction: parameters and their domain, thermal
+populations, Hamiltonian, and the (optionally coherent) initial state.
+A FridgeParams checks its domain; FridgeParams.grid puts one knob's
+values on a copy as a column, and domain_checks masks its refused rows.
 
 The machine is three qubits (c, r, h) with energies E_c, E_r = E_c + E_h,
 E_h = E_c/eta, each coupled to its own bath at temperature T_c <= T_r <= T_h
@@ -7,7 +9,6 @@ through a reset channel of rate p_i. A resonant three-body interaction of
 strength g couples |010> and |101>. Units: hbar = k_B = 1.
 """
 
-import copy
 import math
 import numbers
 import warnings
@@ -109,22 +110,25 @@ class FridgeParams:
         """A copy whose KNOBS knob fields hold the 1-D values, or one
         np.float64, unchecked, for broadcast evaluation: domain_checks
         masks what __post_init__ would refuse."""
-        p = copy.copy(self)
-        p.__dict__.update(dict.fromkeys(KNOBS[knob], np.asarray(
+        p = object.__new__(FridgeParams)
+        p.__dict__.update(vars(self), **dict.fromkeys(KNOBS[knob], np.asarray(
             values, dtype=float) if np.ndim(values) else np.float64(values)))
         return p
+
+
+_NUMBER_FIELDS = [f.name for f in fields(FridgeParams) if f.type is float]
 
 
 def domain_checks(p):
     """FridgeParams' checks on p in order, as (message, bad) pairs, bad a
     bool array on a grid's columns. Lazy: a check may assume that the
     earlier ones pass."""
-    for f in fields(FridgeParams):
-        x = getattr(p, f.name)
-        if f.type is float:
-            yield f"{f.name} must be a finite number", (
-                ~np.isfinite(x) if isinstance(x, np.ndarray) and x.ndim else
-                not (isinstance(x, (float, numbers.Real)) and math.isfinite(x)))
+    for name in _NUMBER_FIELDS:
+        x = getattr(p, name)
+        yield f"{name} must be a finite number", (
+            ~np.isfinite(x) if isinstance(x, np.ndarray) and x.ndim
+            else not (isinstance(x, (float, numbers.Real))
+                      and math.isfinite(x)))
     yield "E_c must be positive", p.E_c <= 0
     yield "eta must be positive", p.eta <= 0
     yield ("temperatures must satisfy 0 < T_c <= T_r <= T_h",

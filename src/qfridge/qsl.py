@@ -71,8 +71,8 @@ class TradeoffCoeffs:
 # the speed limit
 # ----------------------------------------------------------------------
 
-STATIONARY_NOTE = "initial state is stationary: tau = 0"
-COINCIDENT_NOTE = "initial state coincides with the steady state: tau = 0"
+_STATIONARY = "initial state is stationary: tau = 0"
+_COINCIDENT = "initial state coincides with the steady state: tau = 0"
 _ZERO_NORM = "zero generator norm with nonzero purity gap: inconsistent inputs"
 
 
@@ -125,7 +125,7 @@ def qsl_time(params, steady):
     if refused:
         raise FridgeError(_ZERO_NORM)
     if stationary or coincident:
-        warnings.warn(STATIONARY_NOTE if stationary else COINCIDENT_NOTE,
+        warnings.warn(_STATIONARY if stationary else _COINCIDENT,
                       TrivialEvolutionWarning, stacklevel=2)
     return QslReport(tau=float(tau), purity_gap=float(abs(gap)),
                      generator_norm=float(norm), chi=float(chi))
@@ -159,14 +159,17 @@ def evaluate(base, knob, values):
     for i in _rows(outside_perturbative(p), n):
         if not isinstance(errors[i], ValueError):   # FridgeParams was built
             notes[i] += (PERTURBATIVE_NOTE,)
-    for note, mask in ((STATIONARY_NOTE, stationary),
-                       (COINCIDENT_NOTE, coincident)):
+    for note, mask in ((_STATIONARY, stationary), (_COINCIDENT, coincident)):
         for i in _rows(mask, n):
             if errors[i] is None:
                 notes[i] += (note,)
-    cols = np.empty((7, n))
-    for col, x in zip(cols, (s.q_cool, tau, chi, s.gamma, s.delta, gap, norm)):
-        col[:] = x
+    vals = (s.q_cool, tau, chi, s.gamma, s.delta, gap, norm)
+    if np.ndim(values):
+        cols = np.empty((7, n))
+        for col, x in zip(cols, vals):
+            col[:] = x
+    else:
+        cols = np.array(vals, dtype=float).reshape(7, 1)
     if any(errors):
         cols[:, [i for i, e in enumerate(errors) if e is not None]] = np.nan
     return PointColumns(*cols, tuple(errors), tuple(notes))

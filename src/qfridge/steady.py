@@ -75,18 +75,20 @@ _SIGNS = [((c, r, h), (1.0 - 2 * c, 2 * r - 1.0, 1.0 - 2 * h,
           for c in (0, 1) for r in (0, 1) for h in (0, 1)]
 
 
-def _sigma_diagonal(r, qs, Qs):
-    """sigma's diagonal as a list over k of floats, or of grid
-    columns: the signed sum of its product-operator terms there."""
+def _diagonals(r, qs, Qs):
+    """The diagonals of the thermal product and of sigma as lists over k of
+    floats, or of grid columns: the product of the factors r_i or 1 - r_i
+    that k's bits pick, and the signed sum of sigma's terms there."""
     (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = qs, Qs
     f = [(x, 1.0 - x) for x in r]
-    out = []
+    rho, sigma = [], []
     for (c, r_, h), (zc, zr, zh, zrh, zch, zcr, zcrh) in _SIGNS:
         tc, tr, th = f[0][c], f[1][r_], f[2][h]
-        out.append(Q_rh * (zc * (tr * th)) + Q_ch * (zr * (tc * th))
-                   + Q_cr * (zh * (tc * tr)) + q_c * (tc * zrh)
-                   + q_r * (tr * zch) + q_h * (th * zcr) + zcrh)
-    return out
+        rho.append(tc * (tr * th))
+        sigma.append(Q_rh * (zc * (tr * th)) + Q_ch * (zr * (tc * th))
+                     + Q_cr * (zh * (tc * tr)) + q_c * (tc * zrh)
+                     + q_r * (tr * zch) + q_h * (th * zcr) + zcrh)
+    return rho, sigma
 
 
 def sigma_matrix(r, qs, Qs, y):
@@ -100,10 +102,10 @@ def sigma_matrix(r, qs, Qs, y):
     y = q/2g, Zc = Zh = diag(1, -1), Zr = diag(-1, 1),
     Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh on its own qubits,
     and Y = i|101><010| - i|010><101|. Every term but the last is a
-    diagonal product operator, summed entry by entry (_sigma_diagonal);
-    y Y is sigma's only off-diagonal pair.
+    diagonal product operator, summed entry by entry (_diagonals); y Y
+    is sigma's only off-diagonal pair.
     """
-    sig = np.diag(_sigma_diagonal(r, qs, Qs)).astype(complex)
+    sig = np.diag(_diagonals(r, qs, Qs)[1]).astype(complex)
     i, j = IDX_INNER
     sig[j, i], sig[i, j] = 1j * y, -1j * y
     return sig
@@ -155,9 +157,7 @@ def steady_columns(p):
         gg, qq = _square(p.g), _square(q)
         den = lam + _quotient(qq, 2.0 * gg, np.inf)   # 2 g^2 may underflow
         gamma = -delta / den
-        f = [(x, 1.0 - x) for x in r]
-        m = [f[0][c] * (f[1][r_] * f[2][h]) * x for ((c, r_, h), _), x
-             in zip(_SIGNS, _sigma_diagonal(r, qs, Qs))]
+        m = [x * y for x, y in zip(*_diagonals(r, qs, Qs))]
         overlap = (((m[0] + m[2]) + (m[4] + m[6]))
                    + ((m[1] + m[3]) + (m[5] + m[7])))
         q_cool = q * gamma * p.E_c

@@ -23,7 +23,8 @@ from .model import (CohSubspace, FridgeParams, build_hamiltonian,
 from .steady import rate_combos, steady_state
 from .dynamics import (convergence_time, evolve, heat_current_cold,
                        liouvillian_apply, liouvillian_matrix)
-from .qsl import (bsocr, bsocr_closed_equal_p, qsl_time, tradeoff_coeffs)
+from .qsl import (bsocr, bsocr_closed_equal_p, evaluate, qsl_time,
+                  tradeoff_coeffs)
 from .analysis import (SweepSpec, chi_highT, eta_opt_asymptotic, f_function,
                        golden_section_max, maximize_chi_over_eta, run_sweep)
 
@@ -189,13 +190,13 @@ def check_dynamics_convergence():
 def check_linearity_closed_form():
     results = []
     gs = np.geomspace(1e-4, 1e-1, 7)
-    ratios = np.array([bsocr(coupling_sweep_params(g=g)) / g for g in gs])
+    ratios = evaluate(coupling_sweep_params(), "g", gs).chi / gs
     spread_g = float(ratios.max() / ratios.min() - 1.0)
     results.append(_res(
         "3", "chi/g constant over g in [1e-4, 1e-1]",
         spread_g <= 1e-8, f"relative spread {spread_g:.2e} (<= 1e-8)"))
     ps = np.geomspace(1e-3, 1e-1, 7)
-    ratios = np.array([bsocr(coupling_sweep_params(p=p)) / p for p in ps])
+    ratios = evaluate(coupling_sweep_params(), "p_equal", ps).chi / ps
     spread_p = float(ratios.max() / ratios.min() - 1.0)
     results.append(_res(
         "3", "chi/p constant over p in [1e-3, 1e-1]",
@@ -222,21 +223,15 @@ def check_linearity_closed_form():
 
 def check_tradeoff_identity():
     co = tradeoff_coeffs(tradeoff_params())
-    worst = 0.0
-    qcs, inv_taus = [], []
-    for g in np.geomspace(1e-4, 1e-1, 60):
-        pp = tradeoff_params(g=g)
-        srep = steady_state(pp)
-        qrep = qsl_time(pp, srep)
-        rhs = (co.xi2 ** 2 / co.xi1) * srep.q_cool \
-            - co.ups1 * (co.xi2 / co.xi1) ** 2 * srep.q_cool ** 2
-        worst = max(worst, abs(rhs / qrep.tau ** 2 - 1.0))
-        worst = max(worst, abs(co.xi1 / (co.ups1 + co.ups2 / g ** 2)
-                               / srep.q_cool - 1.0))
-        worst = max(worst, abs((co.xi2 / g) / (co.ups1 + co.ups2 / g ** 2)
-                               / qrep.tau - 1.0))
-        qcs.append(srep.q_cool)
-        inv_taus.append(1.0 / qrep.tau)
+    g = np.geomspace(1e-4, 1e-1, 60)
+    pts = evaluate(tradeoff_params(), "g", g)
+    qcs, inv_taus, g2 = pts.q_cool, 1.0 / pts.tau, np.float_power(g, 2)
+    rhs = (co.xi2 ** 2 / co.xi1) * qcs \
+        - co.ups1 * (co.xi2 / co.xi1) ** 2 * np.float_power(qcs, 2)
+    den = co.ups1 + co.ups2 / g2
+    worst = float(max(np.max(abs(rhs / np.float_power(pts.tau, 2) - 1.0)),
+                      np.max(abs(co.xi1 / den / qcs - 1.0)),
+                      np.max(abs((co.xi2 / g) / den / pts.tau - 1.0))))
     results = [_res(
         "4", "tau^2 identity and both reconstructions",
         worst <= 1e-8,
@@ -325,8 +320,8 @@ COHERENCE_GRID = tuple(np.linspace(0.04, 0.1, 13))
 def check_coherence_boost():
     outer, inner = CohSubspace.OUTER_DIAG, CohSubspace.INNER_DIAG
     c0, c5o, c1o, c5i, c1i = (
-        np.array([bsocr(coupling_sweep_params(g=g, kappa=kappa, sub=sub))
-                  for g in COHERENCE_GRID])
+        evaluate(coupling_sweep_params(kappa=kappa, sub=sub), "g",
+                 COHERENCE_GRID).chi
         for kappa, sub in ((0.0, None), (0.5, outer), (1.0, outer),
                            (0.5, inner), (1.0, inner)))
     n = len(COHERENCE_GRID)

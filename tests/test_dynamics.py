@@ -252,7 +252,8 @@ def test_evolve_counts_the_drift_check_in_its_memory_guard(
     # 4.02x on any other, as tracemalloc read them)
     run = dict(rho0=rho0, t_end=1.0, store_every=1)
     n = len(evolve(cooling_params, **run))
-    sizes = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": int(factor * n * SAMPLE_BYTES)}
+    sizes = {"SC_PAGE_SIZE": 1,
+             "SC_PHYS_PAGES": int(factor * n * SAMPLE_BYTES)}
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     with pytest.raises(ValueError, match="%d stored samples" % n):
         evolve(cooling_params, **run)
