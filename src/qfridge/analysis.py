@@ -1,7 +1,8 @@
 """Parameter sweeps, maximization of chi over the efficiency, and the
 high-temperature closed forms (F-function, approximate chi, and the
-efficiency-at-maximal-chi root formula with its scaling limit). A sweep,
-and the optimizer's scan, take one qsl.evaluate call for the whole grid.
+efficiency-at-maximal-chi root formula with its scaling limit). A sweep
+takes one qsl.evaluate call for its whole grid, and the optimizer one for
+its scan and one per level of zoom_max, the one search on grids here.
 """
 
 import math
@@ -14,8 +15,6 @@ from .errors import BoundaryMaximumError, FridgeError, PoleError
 from .model import KNOBS
 from .steady import carnot_cop
 from .qsl import evaluate
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class HighTemperatureValidityWarning(UserWarning):
@@ -107,41 +106,41 @@ class Optimum:
     """Result of maximizing chi over eta inside the cooling window."""
     eta_star: float
     chi_star: float
-    method: str
     f_value: float
 
 
-def golden_section_max(f, a, b, tol):
-    """Golden-section search for the maximum of a unimodal f on [a, b].
+def zoom_max(f, xs, ys, tol):
+    """(x, y): the largest finite value y that f takes at any point x
+    evaluated here, zooming from its values ys on the uniform grid xs.
 
-    Returns the bracket midpoint once b - a <= tol; on a tie the left part
-    is kept. A minimum of F is found as the maximum of -F.
+    Each level evaluates f, which maps a 1-D grid to its values, on 65
+    points over the two cells around the best point so far, centred on
+    it; the best point moves only to a larger value. The levels stop
+    once those two cells span <= tol. A minimum of F is the maximum of -F.
     """
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    finite = np.where(np.isfinite(ys), ys, -np.inf)
+    i = int(np.argmax(finite))
+    x, y, h = float(xs[i]), float(finite[i]), float(xs[1] - xs[0])
+    while 2.0 * h > tol:
+        grid = x + h * np.linspace(-1.0, 1.0, 65)   # grid[32] == x
+        vals = f(grid)
+        vals = np.where(np.isfinite(vals), vals, -np.inf)
+        j = int(np.argmax(vals))
+        if vals[j] > y:
+            x, y = float(grid[j]), float(vals[j])
+        h /= 32.0
+    return x, y
 
 
 def maximize_chi_over_eta(params, bracket=None):
     """Locate the interior maximum of chi(eta) on the bracket.
 
-    A 64-point scan, one qsl.evaluate call, selects the best grid cell;
-    a point that evaluate refuses raises its error, the first in grid
-    order. Golden-section search, one value per evaluate call,
-    then narrows it to |d eta| <= 1e-8 (ties broken toward smaller eta);
-    where it lands below the best scan point, a dense scan of the cell
-    that keeps that point decides (method "grid_refine").
+    A 64-point scan, one qsl.evaluate call, selects the best grid point;
+    zoom_max then narrows the two cells around it with one evaluate call
+    per 65-point level until they span <= 1e-8. eta_star is the point of
+    the largest chi evaluated, so chi_star is never below the scan's
+    best. A point that evaluate refuses, at the scan or at any level,
+    raises its error, the first in grid order.
     If the scan puts the maximum on a bracket endpoint the function
     raises BoundaryMaximumError with the endpoint values, since a
     boundary argmax means the bracket does not contain the claimed
@@ -187,25 +186,12 @@ def maximize_chi_over_eta(params, bracket=None):
                 f"eta={xs[i]:.8g} (index {i} of {len(xs)}); "
                 f"chi(lo)={raw[0]:.6g}, chi(hi)={raw[-1]:.6g}, "
                 f"chi(best)={vals[i]:.6g}")
-
-        eta_star = golden_section_max(lambda x: chi(x)[0], float(xs[i - 1]),
-                                      float(xs[i + 1]), 1e-8)
-        chi_star = float(chi(eta_star)[0])
-        method = "golden_section"
-        if chi_star + 1e-15 < vals[i]:
-            # non-unimodal cell: dense scan of the cell, which straddles the
-            # scan maximum xs[i], so that point stays a candidate
-            xs2 = np.append(np.linspace(xs[i - 1], xs[i + 1], 256), xs[i])
-            vals2 = chi(xs2)
-            j = int(np.nanargmax(vals2))
-            eta_star, chi_star = float(xs2[j]), float(vals2[j])
-            method = "grid_refine"
+        eta_star, chi_star = zoom_max(chi, xs, raw, 1e-8)
         try:
             f_val = f_function(eta_star, params)
         except PoleError:
             f_val = float("nan")
-    return Optimum(eta_star=eta_star, chi_star=chi_star, method=method,
-                   f_value=f_val)
+    return Optimum(eta_star=eta_star, chi_star=chi_star, f_value=f_val)
 
 
 # ----------------------------------------------------------------------

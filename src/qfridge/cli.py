@@ -380,7 +380,6 @@ def _run_optimize(config):
                                 bracket=config.settings.get("bracket"))
     print(f"eta_star   = {_fmt(opt.eta_star)}")
     print(f"chi_star   = {_fmt(opt.chi_star)}")
-    print(f"method     = {opt.method}")
     print(f"f_value    = {_fmt(opt.f_value)}")
     eta_c = carnot_cop(params.T_c, params.T_r, params.T_h)
     print(f"eta_carnot = {_fmt(eta_c)}")

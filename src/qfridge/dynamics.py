@@ -170,8 +170,9 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     trace, Hermitian, positive within the drift thresholds) raises
     ValueError. t_end defaults to 50/min(p_i) and must be positive and
     finite; dt defaults to default_dt(params), its largest allowed value,
-    and must be positive. Samples are stored every store_every steps, a
-    positive integer (default keeps about 4000 samples); the final state
+    and must be positive, with t_end/dt below 2**63 steps. Samples are
+    stored every store_every steps, a positive integer below 2**63
+    (default keeps about 4000 samples); the final state
     is always stored, at exactly t_end. A run whose peak memory, the
     stored stack and the drift check's temporaries, exceeds the machine's
     physical memory raises ValueError before any allocation.
@@ -202,12 +203,16 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
     if dt > dt_max * (1 + 1e-12):
         raise ValueError("evolve: dt exceeds the stability heuristic 0.05/max(E_r, q, g)")
 
+    if not t_end / dt < 2.0 ** 63:   # step numbers are int64
+        raise ValueError("evolve: t_end/dt = %.3g steps do not fit in a "
+                         "64-bit count" % (t_end / dt))
     n_steps = max(1, int(round(t_end / dt)))
     dt = t_end / n_steps   # land exactly on t_end
     if store_every is None:
         store_every = max(1, n_steps // 4000)
-    if not (store_every >= 1 and float(store_every).is_integer()):
-        raise ValueError("evolve: store_every must be a positive integer")
+    if not (1 <= store_every < 2 ** 63 and float(store_every).is_integer()):
+        raise ValueError("evolve: store_every must be a positive integer "
+                         "below 2**63")
     store_every = int(store_every)
 
     n_full, rest = divmod(n_steps, store_every)

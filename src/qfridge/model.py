@@ -107,12 +107,12 @@ class FridgeParams:
         return self.p_c + self.p_r + self.p_h
 
     def grid(self, knob, values):
-        """A copy whose KNOBS knob fields hold the 1-D values, or one
-        np.float64, unchecked, for broadcast evaluation: domain_checks
-        masks what __post_init__ would refuse."""
+        """A copy whose KNOBS knob fields hold the 1-D values, unchecked,
+        for broadcast evaluation: domain_checks masks what __post_init__
+        would refuse."""
         p = object.__new__(FridgeParams)
-        p.__dict__.update(vars(self), **dict.fromkeys(KNOBS[knob], np.asarray(
-            values, dtype=float) if np.ndim(values) else np.float64(values)))
+        p.__dict__.update(vars(self), **dict.fromkeys(
+            KNOBS[knob], np.asarray(values, dtype=float)))
         return p
 
 

@@ -12,8 +12,9 @@ upper-bounds the time-averaged transient cooling acceleration.
 Every quantity here is a scalar formula in the steady scalars and the
 coherence amplitude a of rho0 = rho_diag + mu; no 8x8 matrix is built.
 The tests check these exact reductions against the direct traces.
-evaluate computes them, with Q_c, for a whole grid of one knob in one
-broadcast pass; qsl_time and the steady state read the same formulas.
+evaluate computes them, with Q_c, for a 1-D grid of one knob in one
+broadcast pass: each sweep, and each level of the optimizer's scan and
+zoom, is one call. qsl_time reads the same formulas on one point's floats.
 """
 
 import math
@@ -139,16 +140,16 @@ PointColumns = namedtuple("PointColumns",
 
 
 def evaluate(base, knob, values):
-    """PointColumns of base with the KNOBS knob at each of the 1-D values,
-    or at one value: one broadcast pass, with no FridgeParams, 8x8 matrix
-    or warning per point. A row's notes are "error: " and the first check
-    of FridgeParams, steady_state and qsl_time its point fails, then the
+    """PointColumns of base with the KNOBS knob at each of the 1-D values:
+    one broadcast pass, with no FridgeParams, 8x8 matrix or warning per
+    point. A row's notes are "error: " and the first check of
+    FridgeParams, steady_state and qsl_time its point fails, then the
     perturbative-regime and trivial-evolution warnings the point gives.
     """
     p = base.grid(knob, values)
     s = steady_columns(p)
     gap, norm, tau, chi, zero_norm, stationary, coincident = _speed(p, s)
-    n = np.size(values)
+    n = len(values)
     errors, notes = [None] * n, [()] * n
     checks = ([(ValueError, m, bad) for m, bad in domain_checks(p)]
               + [(FridgeError, m, bad) for m, bad in s.refusals]
@@ -164,12 +165,9 @@ def evaluate(base, knob, values):
             if errors[i] is None:
                 notes[i] += (note,)
     vals = (s.q_cool, tau, chi, s.gamma, s.delta, gap, norm)
-    if np.ndim(values):
-        cols = np.empty((7, n))
-        for col, x in zip(cols, vals):
-            col[:] = x
-    else:
-        cols = np.array(vals, dtype=float).reshape(7, 1)
+    cols = np.empty((7, n))
+    for col, x in zip(cols, vals):
+        col[:] = x
     if any(errors):
         cols[:, [i for i, e in enumerate(errors) if e is not None]] = np.nan
     return PointColumns(*cols, tuple(errors), tuple(notes))

@@ -26,7 +26,7 @@ from .dynamics import (convergence_time, evolve, heat_current_cold,
 from .qsl import (bsocr, bsocr_closed_equal_p, evaluate, qsl_time,
                   tradeoff_coeffs)
 from .analysis import (SweepSpec, chi_highT, eta_opt_asymptotic, f_function,
-                       golden_section_max, maximize_chi_over_eta, run_sweep)
+                       maximize_chi_over_eta, run_sweep, zoom_max)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -383,9 +383,10 @@ def check_high_temperature_theorem():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         grid = np.linspace(1e-2 * eta_c, (1 - 1e-6) * eta_c, 64)
-        fvals = np.array([f_function(x, pp) for x in grid])
-        eta_min = golden_section_max(lambda x: -f_function(x, pp),
-                                     grid[0], grid[-1], 1e-10)
+        def f_grid(etas):
+            return np.array([f_function(x, pp) for x in etas])
+        fvals = f_grid(grid)
+        eta_min = zoom_max(lambda xs: -f_grid(xs), grid, -fvals, 1e-10)[0]
     i = int(np.argmax(fvals))
     if i == 0 or i == len(grid) - 1:
         results.append(CheckResult(
@@ -457,11 +458,12 @@ def check_regression_locks():
         f"eta_star = {opt.eta_star:.7f} (locked 0.1910427 +- 5e-6), "
         f"chi_star = {opt.chi_star:.8e} (locked 1.43886702e-4, rel 1e-7)"))
 
-    def chi_p(p):
-        return bsocr(coupling_sweep_params(p=p, kappa=1.0,
-                                           sub=CohSubspace.OUTER_DIAG))
-    p_star = golden_section_max(chi_p, 0.03, 0.08, 1e-9)
-    chi_max = chi_p(p_star)
+    def chi_p(ps):
+        return evaluate(coupling_sweep_params(kappa=1.0,
+                                              sub=CohSubspace.OUTER_DIAG),
+                        "p_equal", ps).chi
+    grid = np.linspace(0.03, 0.08, 64)
+    p_star, chi_max = zoom_max(chi_p, grid, chi_p(grid), 1e-9)
     ok = (abs(p_star - 0.05209) <= 5e-4
           and abs(chi_max / 2.045926e-2 - 1.0) <= 1e-6)
     results.append(_res(

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qfridge import (BoundaryMaximumError, CohSubspace, FridgeError,
                      FridgeParams, HighTemperatureValidityWarning, PoleError,
@@ -13,6 +14,8 @@ from qfridge import (BoundaryMaximumError, CohSubspace, FridgeError,
 from qfridge import analysis
 from qfridge.analysis import SweepRecord
 from qfridge.qsl import evaluate
+
+from conftest import random_params
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +184,6 @@ def test_maximizer_finds_interior_optimum(unequal_rate_params):
     opt = maximize_chi_over_eta(unequal_rate_params, bracket=(0.05, 0.4))
     assert opt.eta_star == pytest.approx(0.1910427, abs=5e-6)
     assert opt.chi_star == pytest.approx(1.43886702e-4, rel=1e-6)
-    assert opt.method in ("golden_section", "grid_refine")
     assert np.isfinite(opt.f_value)
     # the optimum beats its neighborhood
     for d in (-0.01, 0.01):
@@ -212,28 +214,63 @@ def test_maximizer_agrees_with_fine_grid(unequal_rate_params):
     assert opt.chi_star >= max(chis) - 1e-12
 
 
-def test_golden_section_max_locates_peak():
-    x = analysis.golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0, 1.0,
-                                    1e-10)
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_params(np.random.default_rng(seed))))
+@example(FridgeParams(E_c=1.0, eta=0.4, T_c=1.0, T_r=2.0, T_h=10.0,
+                      p_c=0.01, p_r=0.02, p_h=0.05, g=0.01))
+def test_maximizer_returns_an_evaluated_point_near_the_dense_argmax(params):
+    eta_c = carnot_cop(params.T_c, params.T_r, params.T_h)
+    lo, hi = 1e-2 * eta_c, (1.0 - 1e-6) * eta_c
+    dense = np.linspace(lo, hi, 4097)
+    pts = evaluate(params, "eta", dense)
+    j = int(np.nanargmax(pts.chi))
+    # an interior maximum, and no pole of chi (a purity-gap zero) to chase
+    assume(0 < j < len(dense) - 1)
+    assume(np.all(pts.gap > 0) or np.all(pts.gap < 0))
+    opt = maximize_chi_over_eta(params)
+    scan = evaluate(params, "eta", np.linspace(lo, hi, 64)).chi
+    assert opt.chi_star >= np.nanmax(scan)
+    assert opt.chi_star == evaluate(params, "eta", [opt.eta_star]).chi[0]
+    assert abs(opt.eta_star - dense[j]) <= dense[1] - dense[0]
+
+
+def test_zoom_max_locates_peak():
+    spans = []
+
+    def f(t):
+        spans.append(t[-1] - t[0])
+        return -(t - 0.3) ** 2
+    xs = np.linspace(0.0, 1.0, 64)
+    x, y = analysis.zoom_max(f, xs, f(xs), 1e-10)
     assert x == pytest.approx(0.3, abs=1e-9)
-    # a minimum is the maximum of the negated function
-    x = analysis.golden_section_max(lambda t: -abs(t + 2.0), -5.0, 5.0,
-                                    1e-10)
+    assert y == -(x - 0.3) ** 2
+    # each level spans the two cells around the best point, 1/32 of the
+    # last; the levels stop once the next two cells span <= tol
+    assert spans[1] == pytest.approx(2.0 / 63.0)
+    assert spans[-1] / 32.0 <= 1e-10 < spans[-2] / 32.0
+    # a minimum is the maximum of the negated function; a non-finite
+    # value never wins
+    def g(t):
+        return np.where(t < -2.1, np.nan, -abs(t + 2.0))
+    xs = np.linspace(-5.0, 5.0, 64)
+    x, _ = analysis.zoom_max(g, xs, g(xs), 1e-10)
     assert x == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_grid_refine_keeps_the_scan_maximum(cooling_params, monkeypatch):
-    # chi = 1 except for a 1e-6-wide spike of 2 at one scan point: golden
-    # section misses the spike and the dense cell grid straddles it
+def test_maximizer_keeps_a_spike_at_a_scan_point(cooling_params,
+                                                 monkeypatch):
+    # chi = 1 except for a 1e-6-wide spike of 2 at one scan point: the
+    # zoom re-evaluates that point at the centre of every level and moves
+    # only to a larger chi, so the spike stays the answer
     lo, hi = 0.05, 0.4
     spike = float(np.linspace(lo, hi, 64)[20])
 
     def spiked(base, knob, values):
-        chi = np.where(abs(np.atleast_1d(values) - spike) < 5e-7, 2.0, 1.0)
+        chi = np.where(abs(np.asarray(values) - spike) < 5e-7, 2.0, 1.0)
         return SimpleNamespace(chi=chi, errors=(None,) * chi.size)
     monkeypatch.setattr(analysis, "evaluate", spiked)
     opt = maximize_chi_over_eta(cooling_params, bracket=(lo, hi))
-    assert opt.method == "grid_refine"
     assert opt.chi_star == 2.0
     assert opt.eta_star == spike
 
@@ -244,17 +281,20 @@ def test_maximizer_raises_the_first_failing_scan_point(cooling_params,
     with pytest.raises(FridgeError, match="lambda"):
         maximize_chi_over_eta(dataclasses.replace(cooling_params, g=1e-200))
 
-    # two refused scan points: the lower one's error, of its own type
-    def refusing(base, knob, values):
-        pts = evaluate(base, knob, values)
-        if np.ndim(values):
-            errors = list(pts.errors)
-            errors[40], errors[20] = FridgeError("at 40"), ValueError("at 20")
-            pts = pts._replace(errors=tuple(errors))
-        return pts
-    monkeypatch.setattr(analysis, "evaluate", refusing)
-    with pytest.raises(ValueError, match="at 20"):
-        maximize_chi_over_eta(cooling_params, bracket=(0.05, 0.4))
+    # two refused points of the scan (64 points) or of the first zoom
+    # level (65): the lower one's error, of its own type
+    for size in (64, 65):
+        def refusing(base, knob, values):
+            pts = evaluate(base, knob, values)
+            if len(values) == size:
+                errors = list(pts.errors)
+                errors[40], errors[20] = (FridgeError("at 40"),
+                                          ValueError("at 20"))
+                pts = pts._replace(errors=tuple(errors))
+            return pts
+        monkeypatch.setattr(analysis, "evaluate", refusing)
+        with pytest.raises(ValueError, match="at 20"):
+            maximize_chi_over_eta(cooling_params, bracket=(0.05, 0.4))
 
 
 def test_maximizer_boundary_spike_raises():

@@ -467,8 +467,9 @@ def test_config_error_exit_code(capsys):
     ["evolve"] + FIG2 + ["--dt", "5"],
     ["evolve"] + FIG2 + ["--g", "0"],
     ["optimize"] + FIG2 + ["--pr", "0"],
+    ["evolve"] + FIG2 + ["--t-end", "1e30"],   # 6e31 steps: past int64
 ], ids=["steady-g0", "qsl-p0", "optimize-bracket", "evolve-dt", "evolve-g0",
-        "optimize-pr0"])
+        "optimize-pr0", "evolve-step-count"])
 def test_library_refusal_is_a_config_error(argv, tmp_path, monkeypatch,
                                            capsys):
     monkeypatch.setenv("QFRIDGE_OUTDIR", str(tmp_path))

@@ -225,8 +225,14 @@ def test_evolve_rejects_oversized_step(cooling_params):
     (dict(store_every=-3), "store_every must be a positive integer"),
     (dict(store_every=2.5), "store_every must be a positive integer"),
     (dict(store_every=np.nan), "store_every must be a positive integer"),
+    (dict(store_every=1e30), "store_every must be a positive integer"),
+    # step counts past int64 overflowed numpy or int() with a traceback
+    (dict(t_end=1e30), r"t_end/dt = 6e\+31 steps do not fit"),
+    (dict(t_end=50.0, dt=1e-300), r"t_end/dt = 5e\+301 steps do not fit"),
+    (dict(t_end=1e300, dt=1e-10), r"t_end/dt = inf steps do not fit"),
 ], ids=["t_end=inf", "dt=-1", "dt=0", "dt=nan", "store_every=0",
-        "store_every=-3", "store_every=2.5", "store_every=nan"])
+        "store_every=-3", "store_every=2.5", "store_every=nan",
+        "store_every=1e30", "t_end=1e30", "dt=1e-300", "t_end/dt=inf"])
 def test_evolve_rejects_a_bad_time_grid(cooling_params, grid, message):
     with pytest.raises(ValueError, match=message):
         evolve(cooling_params, **{"t_end": 1.0, **grid})
