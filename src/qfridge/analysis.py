@@ -1,8 +1,9 @@
 """Parameter sweeps, maximization of chi over the efficiency, and the
 high-temperature closed forms (F-function, approximate chi, and the
 efficiency-at-maximal-chi root formula with its scaling limit). A sweep
-takes one qsl.evaluate call for its whole grid, and the optimizer one for
-its scan and one per level of zoom_max, the one search on grids here.
+is one qsl.evaluate call for its whole grid and returns that call's
+columns; the optimizer makes one call for its scan and one per level of
+zoom_max, the one search on grids here.
 """
 
 import math
@@ -24,23 +25,6 @@ class HighTemperatureValidityWarning(UserWarning):
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One sweep row: the swept value plus steady/speed-limit outputs.
-
-    Rows where the point computation failed carry NaNs and the error
-    message in `warnings`; a sweep never aborts on a single bad point.
-    """
-    knob_value: float
-    q_cool: float
-    tau: float
-    chi: float
-    gamma: float
-    delta: float
-    is_fridge: bool
-    warnings: tuple
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -78,23 +62,22 @@ class SweepSpec:
 
 
 def run_sweep(spec):
-    """Evaluate the sweep, one SweepRecord per grid point in grid order,
-    with one call of qsl.evaluate.
+    """The qsl.PointColumns of the sweep, one row per grid point in grid
+    order, from one call of qsl.evaluate. The knob values are spec.grid;
+    a row cools where its gamma > 0.
 
     Per-point failures (singular rates, undefined chi, ...) become NaN
-    rows tagged with the error text, followed by the row's notes
-    (perturbative regime, trivial evolution). A warning raised during the
-    call passes the active filters and, where they let it through, is
-    noted on every row. Fully deterministic: fixed grid order.
+    rows whose notes start with the error text, followed by the row's
+    other notes (perturbative regime, trivial evolution). A warning raised
+    during the call passes the active filters and, where they let it
+    through, is appended to every row's notes. Fully deterministic: fixed
+    grid order.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         pts = evaluate(spec.base, spec.knob, spec.grid)
     extra = tuple(str(w.message) for w in caught)
-    return [SweepRecord(*row, notes + extra) for row, notes in zip(
-        zip(spec.grid, pts.q_cool.tolist(), pts.tau.tolist(),
-            pts.chi.tolist(), pts.gamma.tolist(), pts.delta.tolist(),
-            (pts.gamma > 0).tolist()), pts.notes)]
+    return pts._replace(notes=tuple(notes + extra for notes in pts.notes))
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ hold exactly the invoked subcommand's flag names (plus 'grid' for sweep),
 with values of the types those flags parse to.
 Physics and integrator inputs are validated by the library; run() maps
 its refusals to exit codes. A sweep grid's bounds and size are checked
-here, before the grid is built.
+here, before the grid is built. Every CSV is a header line plus one
+format string applied to each row of the result's columns, streamed to
+the file; the sweep quotes its warnings cell as csv.writer would.
 
 Exit codes: 0 ok, 2 config error, 3 computation error, 4 verification
 failure. Identical configs produce byte-identical CSV output.
@@ -14,6 +16,7 @@ failure. Identical configs produce byte-identical CSV output.
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -37,9 +40,9 @@ EXIT_CONFIG = 2
 EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
 
-# peak bytes per sweep grid point, CSV written: tracemalloc read 424 on
-# valid rows, up to 717 on refused rows with notes (1e4 to 1e5 points)
-SWEEP_POINT_BYTES = 720
+# peak bytes per sweep grid point, CSV written: tracemalloc read 273 on
+# valid rows, up to 591 on refused rows with notes (1e4 to 1e5 points)
+SWEEP_POINT_BYTES = 600
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,8 @@ def _build_parser():
 # the parser and, per subcommand, its actions by dest
 _PARSER, _ACTIONS = _build_parser()
 
-# sweep CSV columns: name -> SweepRecord attribute, in column order
-_SWEEP_COLUMNS = {"Q_c": "q_cool", "tau": "tau", "chi": "chi",
-                  "gamma": "gamma", "delta": "delta",
-                  "is_fridge": "is_fridge"}
+# sweep CSV columns between knob_value and warnings, in column order
+_SWEEP_COLUMNS = ("Q_c", "tau", "chi", "gamma", "delta", "is_fridge")
 
 
 def _is_number(value):
@@ -253,8 +254,8 @@ def _sweep_columns(settings):
     for name in filter(None, given):
         if name not in _SWEEP_COLUMNS:
             raise ConfigError(f"unknown output field {name!r}; expected a "
-                              f"subset of {tuple(_SWEEP_COLUMNS)}")
-    return [n for n in _SWEEP_COLUMNS if n in given] or list(_SWEEP_COLUMNS)
+                              f"subset of {_SWEEP_COLUMNS}")
+    return [n for n in _SWEEP_COLUMNS if n in given] or _SWEEP_COLUMNS
 
 
 def parse_config(argv):
@@ -295,12 +296,22 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def _write_csv(config, default_name, header, lines):
+def _write_csv(config, default_name, header, fmt, rows):
+    """Write the header line, then fmt % row for each row (fmt ends in a
+    newline), streamed to the command's CSV path; returns the path."""
     path = _out_path(config, default_name)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(line + "\n" for line in lines)
-    print(f"wrote {path}")
+        fh.writelines(map(fmt.__mod__, rows))
+    return path
+
+
+def _csv_cell(text):
+    """text as csv.writer writes it as one field of a longer row: quoted
+    where QUOTE_MINIMAL quotes it, as is otherwise."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]   # drop the empty field's ",\n"
 
 
 def _run_steady(config):
@@ -315,11 +326,11 @@ def _run_steady(config):
     print(f"eta          = {_fmt(p.eta)}")
     print(f"eta_carnot   = {_fmt(eta_c)}")
     print(f"is_fridge    = {srep.is_fridge}")
-    _write_csv(config, "steady.csv",
-               "delta,gamma,Q_c,eta,eta_carnot,is_fridge",
-               ["%.17g,%.17g,%.17g,%.17g,%.17g,%d"
-                % (srep.delta, srep.gamma, srep.q_cool, p.eta, eta_c,
-                   srep.is_fridge)])
+    print("wrote", _write_csv(
+        config, "steady.csv", "delta,gamma,Q_c,eta,eta_carnot,is_fridge",
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n",
+        [(srep.delta, srep.gamma, srep.q_cool, p.eta, eta_c,
+          srep.is_fridge)]))
     return EXIT_OK
 
 
@@ -329,9 +340,10 @@ def _run_qsl(config):
     print(f"purity_gap     = {_fmt(rep.purity_gap)}")
     print(f"generator_norm = {_fmt(rep.generator_norm)}")
     print(f"chi            = {_fmt(rep.chi)}")
-    _write_csv(config, "qsl.csv", "tau,purity_gap,generator_norm,chi",
-               ["%.17g,%.17g,%.17g,%.17g"
-                % (rep.tau, rep.purity_gap, rep.generator_norm, rep.chi)])
+    print("wrote", _write_csv(
+        config, "qsl.csv", "tau,purity_gap,generator_norm,chi",
+        "%.17g,%.17g,%.17g,%.17g\n",
+        [(rep.tau, rep.purity_gap, rep.generator_norm, rep.chi)]))
     return EXIT_OK
 
 
@@ -343,33 +355,33 @@ def _run_evolve(config):
     dists = traj.trace_distances(srep.rho_f)
     power = np.divide(traj.currents, traj.times, where=traj.times > 0,
                       out=np.zeros_like(traj.currents))
-    rows = ["%.17g,%.17g,%.17g,%.17g" % row
-            for row in zip(traj.times.tolist(), traj.currents.tolist(),
-                           dists.tolist(), power.tolist())]
     print(f"evolved to t = {_fmt(traj.times[-1])} in {len(traj)} stored "
           f"samples; final trace distance to steady state {dists[-1]:.3e}")
-    _write_csv(config, "trajectory.csv",
-               "t,J_c,trace_dist_to_steady,avg_power", rows)
+    print("wrote", _write_csv(
+        config, "trajectory.csv", "t,J_c,trace_dist_to_steady,avg_power",
+        "%.17g,%.17g,%.17g,%.17g\n",
+        zip(traj.times.tolist(), traj.currents.tolist(), dists.tolist(),
+            power.tolist())))
     return EXIT_OK
 
 
 def _run_sweep(config):
     """Sweep CSV: knob_value, the --outputs columns (all by default) in
     table order, warnings; numbers as %.17g (round-trip exact, is_fridge
-    0/1), the row's warnings joined by ';'."""
-    records = run_sweep(config.sweep)
+    0/1), the row's warnings joined by ';' and quoted as csv.writer
+    quotes them."""
+    pts = run_sweep(config.sweep)
+    table = dict(zip(_SWEEP_COLUMNS, (pts.q_cool, pts.tau, pts.chi,
+                                      pts.gamma, pts.delta, pts.gamma > 0)))
     names = _sweep_columns(config.settings)
-    path = _out_path(config, "sweep.csv")
-    with open(path, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["knob_value"] + names + ["warnings"])
-        for rec in records:
-            writer.writerow(
-                ["%.17g" % rec.knob_value]
-                + ["%.17g" % getattr(rec, _SWEEP_COLUMNS[n]) for n in names]
-                + [";".join(rec.warnings)])
-    n_bad = sum(1 for r in records if r.warnings)
-    print(f"swept {config.sweep.knob} over {len(records)} points "
+    cells = {notes: _csv_cell(";".join(notes)) for notes in set(pts.notes)}
+    path = _write_csv(
+        config, "sweep.csv", ",".join(["knob_value", *names, "warnings"]),
+        "%.17g," * (1 + len(names)) + "%s\n",
+        zip(config.sweep.grid, *(table[n].tolist() for n in names),
+            map(cells.__getitem__, pts.notes)))
+    n_bad = sum(1 for notes in pts.notes if notes)
+    print(f"swept {config.sweep.knob} over {len(pts.notes)} points "
           f"({n_bad} with warnings); wrote {path}")
     return EXIT_OK
 

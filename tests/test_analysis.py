@@ -12,7 +12,6 @@ from qfridge import (BoundaryMaximumError, CohSubspace, FridgeError,
                      eta_opt_asymptotic, f_function, maximize_chi_over_eta,
                      qsl_time, run_sweep, steady_state)
 from qfridge import analysis
-from qfridge.analysis import SweepRecord
 from qfridge.qsl import evaluate
 
 from conftest import random_params
@@ -44,47 +43,49 @@ def test_sweep_spec_validation(cooling_params):
 
 def test_run_sweep_values_match_pointwise(cooling_params):
     grid = (0.01, 0.02, 0.04)
-    records = run_sweep(SweepSpec(base=cooling_params, knob="g", grid=grid))
-    assert len(records) == 3
-    for rec, g in zip(records, grid):
-        assert rec.knob_value == pytest.approx(g)
+    spec = SweepSpec(base=cooling_params, knob="g", grid=grid)
+    pts = run_sweep(spec)
+    assert all(len(column) == 3 for column in pts)
+    assert spec.grid == pytest.approx(grid)   # the knob values
+    for chi, gamma, notes, g in zip(pts.chi, pts.gamma, pts.notes, grid):
         point = dataclasses.replace(cooling_params, g=g)
-        assert rec.chi == pytest.approx(bsocr(point), rel=1e-12)
-        assert rec.is_fridge
-        assert rec.warnings == ()
+        assert chi == pytest.approx(bsocr(point), rel=1e-12)
+        assert gamma > 0   # is_fridge
+        assert notes == ()
     # chi linear in g across the sweep
-    assert records[1].chi == pytest.approx(2 * records[0].chi, rel=1e-10)
+    assert pts.chi[1] == pytest.approx(2 * pts.chi[0], rel=1e-10)
 
 
 def test_run_sweep_captures_warnings_and_errors(cooling_params):
     # g = 0.12 leaves the perturbative regime -> warning recorded;
     # p = 1.5 is invalid -> error row with NaN outputs, not an exception
-    records = run_sweep(SweepSpec(base=cooling_params, knob="g",
-                                  grid=(0.05, 0.12)))
-    assert records[0].warnings == ()
-    assert any("perturbative" in w for w in records[1].warnings)
+    pts = run_sweep(SweepSpec(base=cooling_params, knob="g",
+                              grid=(0.05, 0.12)))
+    assert pts.notes[0] == ()
+    assert any("perturbative" in w for w in pts.notes[1])
 
-    records = run_sweep(SweepSpec(base=cooling_params, knob="p_equal",
-                                  grid=(0.0, 0.05)))
-    assert np.isnan(records[0].chi) and np.isnan(records[0].tau)
-    assert any(w.startswith("error:") for w in records[0].warnings)
-    assert np.isfinite(records[1].chi)
+    pts = run_sweep(SweepSpec(base=cooling_params, knob="p_equal",
+                              grid=(0.0, 0.05)))
+    assert np.isnan(pts.chi[0]) and np.isnan(pts.tau[0])
+    assert any(w.startswith("error:") for w in pts.notes[0])
+    assert np.isfinite(pts.chi[1])
 
 
 def test_kappa_sweep_roundtrip(coherent_params):
-    records = run_sweep(SweepSpec(base=coherent_params, knob="kappa",
-                                  grid=(0.0, 0.5, 1.0)))
+    pts = run_sweep(SweepSpec(base=coherent_params, knob="kappa",
+                              grid=(0.0, 0.5, 1.0)))
     # kappa = 0 reproduces the diagonal-start value regardless of base kappa
     diag = bsocr(dataclasses.replace(coherent_params, kappa=0.0))
-    assert records[0].chi == pytest.approx(diag, rel=1e-12)
-    assert records[1].chi > records[0].chi   # the boost regime at g = 0.05
+    assert pts.chi[0] == pytest.approx(diag, rel=1e-12)
+    assert pts.chi[1] > pts.chi[0]   # the boost regime at g = 0.05
 
 
 def _pointwise_sweep(spec):
     """The sweep one point at a time, as run_sweep did before the
     evaluator: a FridgeParams, steady_state and qsl_time per grid value, a
-    refusal caught into an error row, the point's warnings into notes."""
-    records = []
+    refusal caught into an error row, the point's warnings into notes.
+    Rows are (knob value, Q_c, tau, chi, gamma, delta, is_fridge, notes)."""
+    rows = []
     for value in spec.grid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", UserWarning)
@@ -100,9 +101,9 @@ def _pointwise_sweep(spec):
             except (FridgeError, ValueError) as exc:
                 values = (float("nan"),) * 5 + (False,)
                 notes = (f"error: {exc}",)
-        records.append(SweepRecord(value, *values, notes + tuple(
+        rows.append((value, *values, notes + tuple(
             str(w.message) for w in caught)))
-    return records
+    return rows
 
 
 _BASE = dict(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
@@ -145,13 +146,12 @@ _OUTER = dict(_BASE, kappa=0.5, coh_subspace=CohSubspace.OUTER_DIAG)
 def test_run_sweep_matches_the_pointwise_loop(base, knob, grid):
     spec = SweepSpec(base=FridgeParams(**base), knob=knob, grid=grid)
     got, want = run_sweep(spec), _pointwise_sweep(spec)
-    assert [r.warnings for r in got] == [r.warnings for r in want]
-    assert [r.is_fridge for r in got] == [r.is_fridge for r in want]
-    fields = ("knob_value", "q_cool", "tau", "chi", "gamma", "delta")
+    assert list(got.notes) == [row[7] for row in want]
+    assert (got.gamma > 0).tolist() == [row[6] for row in want]
     np.testing.assert_allclose(
-        [[getattr(r, f) for f in fields] for r in got],
-        [[getattr(r, f) for f in fields] for r in want],
-        rtol=1e-13, atol=0.0)
+        np.column_stack((spec.grid, got.q_cool, got.tau, got.chi, got.gamma,
+                         got.delta)),
+        [row[:6] for row in want], rtol=1e-13, atol=0.0)
 
 
 def test_runtime_warnings_pass_the_library_filters(cooling_params,
@@ -172,8 +172,8 @@ def test_runtime_warnings_pass_the_library_filters(cooling_params,
     # under the default filters it is a note on every row, as before
     with warnings.catch_warnings():
         warnings.simplefilter("default")
-        records = run_sweep(spec)
-    assert all(rec.warnings == ("overflow encountered",) for rec in records)
+        pts = run_sweep(spec)
+    assert pts.notes == (("overflow encountered",),) * 2
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from qfridge import (ConfigError, SweepSpec, evolve, run_sweep, steady_state,
 from qfridge import analysis
 from qfridge.qsl import evaluate
 from qfridge.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY,
-                         main, parse_config)
+                         _csv_cell, main, parse_config)
 from qfridge.verify import CheckResult
 
 FIG2 = ["--Ec", "1", "--eta", "0.5", "--Tc", "1", "--Tr", "2", "--Th", "10",
@@ -221,9 +222,9 @@ def test_sweep_csv_golden(tmp_path, cooling_params):
     assert first[0] == "0.01"
     assert first[6] == "1"
     # 17 significant digits round-trip exactly
-    records = run_sweep(SweepSpec(base=cooling_params, knob="g",
-                                  grid=(0.01, 0.02)))
-    assert float(first[3]) == records[0].chi
+    pts = run_sweep(SweepSpec(base=cooling_params, knob="g",
+                              grid=(0.01, 0.02)))
+    assert float(first[3]) == pts.chi[0]
     # deterministic: a second run is byte-identical
     assert main(argv + ["--out", str(b)]) == EXIT_OK
     assert b.read_bytes() == a.read_bytes()
@@ -269,6 +270,43 @@ def test_sweep_warnings_cell_round_trips(tmp_path, monkeypatch):
     assert [row[-1] for row in rows[1:]] == [";".join(notes)] * 2
 
 
+@pytest.mark.parametrize("notes", [
+    (), ("a, b",), ('say "so"',), ("one", "two"), ("cr\rhere",),
+    ("line\nbreak",), ("a, b", 'say "so"', "x\r\ny")])
+def test_warnings_cell_matches_csv_writer(notes):
+    # a row's notes, joined by ';', are written as csv.writer writes them
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["0.5", ";".join(notes)])
+    assert "0.5," + _csv_cell(";".join(notes)) + "\n" == buf.getvalue()
+
+
+@pytest.mark.parametrize("notes", [(), ('chi, "roughly"\nand more',)])
+def test_sweep_csv_matches_csv_writer(tmp_path, monkeypatch, notes):
+    # a refused row (p = 0), and a foreign warning noted on every row: the
+    # CSV is what csv.writer writes from run_sweep's columns
+    def evaluate_warns(base, knob, values):
+        for note in notes:
+            warnings.warn(note, UserWarning)
+        return evaluate(base, knob, values)
+    monkeypatch.setattr(analysis, "evaluate", evaluate_warns)
+    out = tmp_path / "sweep.csv"
+    argv = (["sweep", "--knob", "p_equal", "--lin", "0", "0.1", "3"] + FIG2
+            + ["--out", str(out)])
+    assert main(argv) == EXIT_OK
+    spec = parse_config(argv).sweep
+    pts = run_sweep(spec)
+    assert pts.notes[0][0] == "error: p_c must be positive"
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["knob_value", "Q_c", "tau", "chi", "gamma", "delta",
+                     "is_fridge", "warnings"])
+    for row in zip(spec.grid, pts.q_cool.tolist(), pts.tau.tolist(),
+                   pts.chi.tolist(), pts.gamma.tolist(), pts.delta.tolist(),
+                   (pts.gamma > 0).tolist(), pts.notes):
+        writer.writerow(["%.17g" % v for v in row[:-1]] + [";".join(row[-1])])
+    assert out.read_bytes() == want.getvalue().encode()
+
+
 @pytest.mark.parametrize("argv", [
     ["--knob", "g", "--log", "0", "1", "3"] + FIG2,
     ["--knob", "g", "--lin", "0.01", "0.03", "2.5"] + FIG2,
@@ -312,7 +350,7 @@ def _physical_memory(monkeypatch, n_bytes):
 
 def test_sweep_grid_past_physical_memory_is_refused(tmp_path, capsys,
                                                     monkeypatch):
-    # 10,000 points of ~720 bytes do not fit in 1 MB; a 1e15-point grid
+    # 10,000 points of ~600 bytes do not fit in 1 MB; a 1e15-point grid
     # would not fit anywhere, and neither grid is built
     out, path = tmp_path / "sweep.csv", tmp_path / "run.json"
     argv = ["sweep", "--knob", "g"] + FIG2 + ["--out", str(out)]
