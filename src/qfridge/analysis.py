@@ -76,6 +76,8 @@ def run_sweep(spec):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         pts = evaluate(spec.base, spec.knob, spec.grid)
+    if not caught:   # a rebuild per sweep grew a long run's peak RSS
+        return pts
     extra = tuple(str(w.message) for w in caught)
     return pts._replace(notes=tuple(notes + extra for notes in pts.notes))
 
