@@ -120,8 +120,7 @@ def _build_parser():
                         help="maximize chi over the efficiency")
     op.add_argument("--bracket", nargs=2, type=float, default=None,
                     metavar=("LO", "HI"))
-    sub.add_parser("verify", parents=[common],
-                   help="run the acceptance/invariant suite")
+    sub.add_parser("verify", help="run the acceptance/invariant suite")
     actions = {name: {a.dest: a for a in p._actions}
                for name, p in sub.choices.items()}
     return parser, actions
@@ -168,7 +167,7 @@ def _settings(args):
     allowed in the file are the subcommand's own parser dests, and their
     values must have the types the flags parse to."""
     flags = vars(args)
-    command, path = flags.pop("command"), flags.pop("config")
+    command, path = flags.pop("command"), flags.pop("config", None)
     settings = {}
     if path:
         try:
@@ -308,10 +307,11 @@ def _write_csv(config, default_name, header, fmt, rows):
 
 def _csv_cell(text):
     """text as csv.writer writes it as one field of a longer row: quoted
-    where QUOTE_MINIMAL quotes it, as is otherwise."""
+    where QUOTE_MINIMAL quotes it, as is otherwise. The writer's
+    terminator holds both \r and \n so that either one is quoted."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]   # drop the empty field's ",\n"
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]   # drop the empty field's ",\r\n"
 
 
 def _run_steady(config):

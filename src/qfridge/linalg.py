@@ -96,10 +96,10 @@ def trace_distance(A, B):
 # kernel of the vectorized generator
 # ----------------------------------------------------------------------
 
-def null_space_1d(L, rel_tol=1e-10, gap_tol=1e-4):
+def null_space_1d(L, gap_tol=1e-4):
     """One-dimensional kernel of a 64x64 superoperator, as a density matrix.
 
-    SVD-based: the smallest singular value must be <= rel_tol * s_max and
+    SVD-based: the smallest singular value must be <= 1e-10 * s_max and
     the second smallest >= gap_tol * s_max, otherwise the kernel is not
     unambiguously one-dimensional and a degeneracy error is raised.
 
@@ -115,10 +115,10 @@ def null_space_1d(L, rel_tol=1e-10, gap_tol=1e-4):
 
     _, s, vh = np.linalg.svd(L)
     smax = s[0] if s[0] > 0 else 1.0
-    if s[-1] > rel_tol * smax:
+    if s[-1] > 1e-10 * smax:
         raise DegenerateKernelError(
             "no null vector: smallest singular value %.3e > %.3e relative"
-            % (s[-1] / smax, rel_tol))
+            % (s[-1] / smax, 1e-10))
     if s[-2] < gap_tol * smax:
         raise DegenerateKernelError(
             "kernel dimension > 1: second singular value %.3e < %.3e relative"

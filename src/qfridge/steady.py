@@ -2,9 +2,10 @@
 the rate combinations, the population bias Delta, the weight lambda, the
 amplitude gamma, the correction matrix sigma, the overlap
 tr(rho_diag sigma), the cooling rate Q_c, and the Carnot coefficient of
-performance. steady_columns is the one place where these scalars are
-computed, on one point's floats or on a grid's columns alike;
-steady_state adds the 8x8 matrices, and qsl reads the scalars.
+performance. steady_columns is the one place where these scalars and the
+two 8-entry diagonals are computed, on one point's floats or on a grid's
+columns alike; steady_state builds the 8x8 matrices from those
+diagonals, and qsl reads the scalars.
 
 The steady state has the closed form rho_f = rho_diag + gamma * sigma
 where rho_diag is the thermal product state and sigma is a fixed traceless
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FridgeError
-from .model import (IDX_INNER, _quotient, _square, thermal_populations,
-                    thermal_product)
+from .model import IDX_INNER, _quotient, _square, thermal_populations
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def rate_combos(p_c, p_r, p_h):
 
 
 # at each diagonal index k = 4c + 2r + h, (c, r, h) and the signs of
-# sigma's terms (see sigma_matrix): Zc, Zr, Zh, Z_rh, Z_ch, Z_cr, Z_crh
+# sigma's terms (see _diagonals): Zc, Zr, Zh, Z_rh, Z_ch, Z_cr, Z_crh
 _Z = {(0, 1, 0): 1.0, (1, 0, 1): -1.0}.get
 _SIGNS = [((c, r, h), (1.0 - 2 * c, 2 * r - 1.0, 1.0 - 2 * h,
                        _Z((0, r, h), 0.0) + _Z((1, r, h), 0.0),
@@ -78,7 +78,19 @@ _SIGNS = [((c, r, h), (1.0 - 2 * c, 2 * r - 1.0, 1.0 - 2 * h,
 def _diagonals(r, qs, Qs):
     """The diagonals of the thermal product and of sigma as lists over k of
     floats, or of grid columns: the product of the factors r_i or 1 - r_i
-    that k's bits pick, and the signed sum of sigma's terms there."""
+    that k's bits pick, and the signed sum of sigma's terms there.
+
+    sigma = Q_rh Zc x tau_r x tau_h + Q_ch tau_c x Zr x tau_h
+          + Q_cr tau_c x tau_r x Zh + q_c tau_c x Z_rh
+          + q_r (tau_r at the middle slot) Z_ch + q_h Z_cr x tau_h
+          + Z_crh + y Y,
+    with r the thermal populations, (qs, Qs) from rate_combos,
+    y = q/2g, Zc = Zh = diag(1, -1), Zr = diag(-1, 1),
+    Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh on its own qubits,
+    and Y = i|101><010| - i|010><101|. Every term but the last is a
+    diagonal product operator; y Y is sigma's only off-diagonal pair,
+    which steady_state adds.
+    """
     (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = qs, Qs
     f = [(x, 1.0 - x) for x in r]
     rho, sigma = [], []
@@ -89,26 +101,6 @@ def _diagonals(r, qs, Qs):
                      + Q_cr * (zh * (tc * tr)) + q_c * (tc * zrh)
                      + q_r * (tr * zch) + q_h * (th * zcr) + zcrh)
     return rho, sigma
-
-
-def sigma_matrix(r, qs, Qs, y):
-    """The traceless Hermitian steady-state correction matrix sigma.
-
-    sigma = Q_rh Zc x tau_r x tau_h + Q_ch tau_c x Zr x tau_h
-          + Q_cr tau_c x tau_r x Zh + q_c tau_c x Z_rh
-          + q_r (tau_r at the middle slot) Z_ch + q_h Z_cr x tau_h
-          + Z_crh + y Y,
-    with r the thermal populations, (qs, Qs) from rate_combos,
-    y = q/2g, Zc = Zh = diag(1, -1), Zr = diag(-1, 1),
-    Z_crh = |010><010| - |101><101|, Z_ij = tr_k Z_crh on its own qubits,
-    and Y = i|101><010| - i|010><101|. Every term but the last is a
-    diagonal product operator, summed entry by entry (_diagonals); y Y
-    is sigma's only off-diagonal pair.
-    """
-    sig = np.diag(_diagonals(r, qs, Qs)[1]).astype(complex)
-    i, j = IDX_INNER
-    sig[j, i], sig[i, j] = 1j * y, -1j * y
-    return sig
 
 
 def carnot_cop(T_c, T_r, T_h):
@@ -122,10 +114,10 @@ def carnot_cop(T_c, T_r, T_h):
     return (1.0 / T_r - 1.0 / T_h) / (1.0 / T_c - 1.0 / T_r)
 
 
-# steady_columns' result: SteadyReport's scalars, and the refusals as
-# (message, bad) pairs in the order steady_state checks them
-SteadyColumns = namedtuple("SteadyColumns",
-                           "delta gamma lam overlap q_cool refusals")
+# steady_columns' result: SteadyReport's scalars, _diagonals' two lists, and
+# the refusals as (message, bad) pairs in the order steady_state checks them
+SteadyColumns = namedtuple("SteadyColumns", "delta gamma lam overlap q_cool "
+                           "rho_diag sigma_diag refusals")
 
 
 def steady_columns(p):
@@ -157,11 +149,13 @@ def steady_columns(p):
         gg, qq = _square(p.g), _square(q)
         den = lam + _quotient(qq, 2.0 * gg, np.inf)   # 2 g^2 may underflow
         gamma = -delta / den
-        m = [x * y for x, y in zip(*_diagonals(r, qs, Qs))]
+        rho_diag, sigma_diag = _diagonals(r, qs, Qs)
+        m = [x * y for x, y in zip(rho_diag, sigma_diag)]
         overlap = (((m[0] + m[2]) + (m[4] + m[6]))
                    + ((m[1] + m[3]) + (m[5] + m[7])))
         q_cool = q * gamma * p.E_c
-    return SteadyColumns(delta, gamma, lam, overlap, q_cool, (
+    return SteadyColumns(delta, gamma, lam, overlap, q_cool, rho_diag,
+                         sigma_diag, (
         ("g^2 or q^2 overflows (huge g or rate)",   # where ** raises
          (gg == np.inf) | ((qq == np.inf) & (q < np.inf))),
         ("lambda + q^2/(2g^2) overflows: reset rates too disparate or g "
@@ -171,7 +165,8 @@ def steady_columns(p):
 def steady_state(params):
     """Full SteadyReport: rho_f = rho0(kappa=0) + gamma*sigma and its scalars.
 
-    The scalars are steady_columns'. The steady state does not depend on
+    The scalars and both diagonals are steady_columns'; sigma adds the
+    y Y pair, y = q/2g (see _diagonals). The steady state does not depend on
     kappa (the generator is kappa-independent; only the initial state is).
     FridgeError where lambda + q^2/(2g^2) overflows (disparate rates, or a
     tiny g), or where g^2 or q^2 does (a huge g or rate).
@@ -180,9 +175,10 @@ def steady_state(params):
     for message, bad in s.refusals:
         if bad:
             raise FridgeError(message)
-    q, qs, Qs = rate_combos(*params.ps)
-    r, gamma = thermal_populations(params), float(s.gamma)
-    sigma = sigma_matrix(r, qs, Qs, q / (2.0 * params.g))
+    gamma, y = float(s.gamma), params.q / (2.0 * params.g)
+    sigma = np.diag(s.sigma_diag).astype(complex)
+    i, j = IDX_INNER
+    sigma[j, i], sigma[i, j] = 1j * y, -1j * y
     return SteadyReport(s.delta, gamma, s.lam, s.overlap, sigma,
-                        thermal_product(r) + gamma * sigma, float(s.q_cool),
+                        np.diag(s.rho_diag) + gamma * sigma, float(s.q_cool),
                         gamma > 0)

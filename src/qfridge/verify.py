@@ -49,14 +49,14 @@ def _res(criterion, label, ok, detail):
 # canonical parameter sets
 # ----------------------------------------------------------------------
 
-def tradeoff_params(g=0.01):
-    """Trade-off demonstration set: E_c=1, eta=1, T=(1,5,10), p=0.1 each.
+def tradeoff_params():
+    """Trade-off set: E_c=1, eta=1, T=(1,5,10), p=0.1 each, g=0.01.
 
     This point HEATS (gamma < 0): eta = 1 lies far beyond the Carnot
     value 0.125, so Q_c and chi are negative here.
     """
     return FridgeParams(E_c=1.0, eta=1.0, T_c=1.0, T_r=5.0, T_h=10.0,
-                        p_c=0.1, p_r=0.1, p_h=0.1, g=g)
+                        p_c=0.1, p_r=0.1, p_h=0.1, g=0.01)
 
 
 def coupling_sweep_params(g=0.05, p=0.05, kappa=0.0, sub=None):

@@ -60,8 +60,7 @@ def test_unknown_config_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("command, key", [
     ("steady", "knob"),      # 'knob' belongs to sweep, not steady
-    ("optimize", "out"),     # optimize and verify write no CSV
-    ("verify", "out"),
+    ("optimize", "out"),     # optimize writes no CSV
     ("steady", "grid"),
     ("evolve", "bracket"),
 ])
@@ -82,7 +81,6 @@ _PARAM_KEYS = {"Ec", "eta", "Tc", "Tr", "Th", "p", "pc", "pr", "ph", "g",
     ("qsl", {"out"}),
     ("sweep", {"out", "knob", "log", "lin", "grid", "outputs"}),
     ("optimize", {"bracket"}),
-    ("verify", set()),
 ])
 def test_config_keys_are_the_subcommand_flags(tmp_path, command, own_keys):
     path = tmp_path / "run.json"
@@ -91,6 +89,18 @@ def test_config_keys_are_the_subcommand_flags(tmp_path, command, own_keys):
         parse_config([command, "--config", str(path)])
     listed = str(info.value).split("allowed: ")[1]
     assert listed == str(sorted(_PARAM_KEYS | own_keys))
+
+
+def test_verify_takes_no_settings(tmp_path, capsys):
+    # run_all_checks reads no setting, so verify has no flag and no
+    # config file to take one from
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({}))
+    for argv in (["verify", "--g", "1"], ["verify", "--config", str(path)]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_CONFIG
+        assert argv[1] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["optimize", "verify"])
@@ -274,10 +284,16 @@ def test_sweep_warnings_cell_round_trips(tmp_path, monkeypatch):
     (), ("a, b",), ('say "so"',), ("one", "two"), ("cr\rhere",),
     ("line\nbreak",), ("a, b", 'say "so"', "x\r\ny")])
 def test_warnings_cell_matches_csv_writer(notes):
-    # a row's notes, joined by ';', are written as csv.writer writes them
+    # a row's notes, joined by ';', read back as one field, written as
+    # csv.writer writes them; a lone \r is quoted, which csv.writer with a
+    # "\n" terminator leaves bare
+    text = ";".join(notes)
+    line = "0.5," + _csv_cell(text) + "\n"
+    assert list(csv.reader(io.StringIO(line))) == [["0.5", text]]
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(["0.5", ";".join(notes)])
-    assert "0.5," + _csv_cell(";".join(notes)) + "\n" == buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(["0.5", text])
+    if "\r" not in text.replace("\r\n", ""):
+        assert line == buf.getvalue()
 
 
 @pytest.mark.parametrize("notes", [(), ('chi, "roughly"\nand more',)])

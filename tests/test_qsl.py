@@ -15,7 +15,6 @@ from qfridge.linalg import trace_product
 from qfridge.model import (KNOBS, PERTURBATIVE_NOTE, coherence_matrix,
                            thermal_populations, thermal_product)
 from qfridge.qsl import bsocr_closed_equal_p, chi_from_p_form, evaluate
-from qfridge.steady import rate_combos, sigma_matrix
 from conftest import random_params
 
 
@@ -141,12 +140,11 @@ def test_evaluator_matches_the_8x8_path(seed, knob, sub):
     pts = evaluate(params, knob, np.array(grid))
     for i, v in enumerate(grid):
         pt = dataclasses.replace(params, **dict.fromkeys(KNOBS[knob], v))
-        # sigma and the thermal product as 8x8 matrices; gamma as the
+        # sigma (steady_state's, which test_steady checks term by term)
+        # and the thermal product as 8x8 matrices; gamma as the
         # least-squares zero of the generator on rho_diag + gamma sigma
-        q, qs, Qs = rate_combos(*pt.ps)
-        r = thermal_populations(pt)
-        sigma = sigma_matrix(r, qs, Qs, q / (2.0 * pt.g))
-        rho_d = thermal_product(r)
+        sigma = steady_state(pt).sigma
+        rho_d = thermal_product(thermal_populations(pt))
         l_d, l_s = liouvillian_apply(pt, rho_d), liouvillian_apply(pt, sigma)
         gamma = -np.vdot(l_s, l_d).real / np.vdot(l_s, l_s).real
         rho_f = rho_d + gamma * sigma
