@@ -12,7 +12,7 @@ from qfridge import (ConfigError, SweepSpec, evolve, run_sweep, steady_state,
 from qfridge import analysis
 from qfridge.qsl import evaluate
 from qfridge.cli import (EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY,
-                         _csv_cell, main, parse_config)
+                         _ACTIONS, _csv_cell, main, parse_config)
 from qfridge.verify import CheckResult
 
 FIG2 = ["--Ec", "1", "--eta", "0.5", "--Tc", "1", "--Tr", "2", "--Th", "10",
@@ -58,15 +58,27 @@ def test_unknown_config_key_rejected(tmp_path):
         parse_config(["steady", "--config", str(path)])
 
 
+def _config_refused_by_verify(path, capsys):
+    # verify takes no --config, so no key in the file reaches it
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--config", str(path)])
+    assert info.value.code == EXIT_CONFIG
+    assert "--config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, key", [
     ("steady", "knob"),      # 'knob' belongs to sweep, not steady
-    ("optimize", "out"),     # optimize writes no CSV
+    ("optimize", "out"),     # optimize and verify write no CSV
+    ("verify", "out"),
     ("steady", "grid"),
     ("evolve", "bracket"),
 ])
-def test_command_scoped_key_rejected(tmp_path, command, key):
+def test_command_scoped_key_rejected(tmp_path, capsys, command, key):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({key: 1}))
+    if command == "verify":
+        _config_refused_by_verify(path, capsys)
+        return
     with pytest.raises(ConfigError, match=key):
         parse_config([command, "--config", str(path)])
 
@@ -81,10 +93,17 @@ _PARAM_KEYS = {"Ec", "eta", "Tc", "Tr", "Th", "p", "pc", "pr", "ph", "g",
     ("qsl", {"out"}),
     ("sweep", {"out", "knob", "log", "lin", "grid", "outputs"}),
     ("optimize", {"bracket"}),
+    ("verify", set()),
 ])
-def test_config_keys_are_the_subcommand_flags(tmp_path, command, own_keys):
+def test_config_keys_are_the_subcommand_flags(tmp_path, capsys, command,
+                                              own_keys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"bogus": 1}))
+    if command == "verify":
+        # no flag, so no key: the parser holds only --help
+        assert set(_ACTIONS["verify"]) == {"help"}
+        _config_refused_by_verify(path, capsys)
+        return
     with pytest.raises(ConfigError) as info:
         parse_config([command, "--config", str(path)])
     listed = str(info.value).split("allowed: ")[1]
