@@ -88,10 +88,15 @@ def run_sweep(spec):
 
 @dataclass(frozen=True)
 class Optimum:
-    """Result of maximizing chi over eta inside the cooling window."""
+    """Result of maximizing chi over eta inside the cooling window;
+    n_evals counts the chi values evaluated (the scan and every level)."""
     eta_star: float
     chi_star: float
     f_value: float
+    n_evals: int
+
+
+_ZOOM = np.linspace(-1.0, 1.0, 65)   # a level's offsets in cells; [32] == 0
 
 
 def zoom_max(f, xs, ys, tol):
@@ -107,7 +112,7 @@ def zoom_max(f, xs, ys, tol):
     i = int(np.argmax(finite))
     x, y, h = float(xs[i]), float(finite[i]), float(xs[1] - xs[0])
     while 2.0 * h > tol:
-        grid = x + h * np.linspace(-1.0, 1.0, 65)   # grid[32] == x
+        grid = x + h * _ZOOM   # grid[32] == x
         vals = f(grid)
         vals = np.where(np.isfinite(vals), vals, -np.inf)
         j = int(np.argmax(vals))
@@ -147,7 +152,11 @@ def maximize_chi_over_eta(params, bracket=None):
     if not (0.0 < lo < hi < eta_c):
         raise ValueError(f"bracket must satisfy 0 < lo < hi < {eta_c:.6g}")
 
+    n_evals = 0
+
     def chi(etas):
+        nonlocal n_evals
+        n_evals += len(etas)
         pts = evaluate(params, "eta", etas)
         error = next(filter(None, pts.errors), None)
         if error is not None:
@@ -176,7 +185,8 @@ def maximize_chi_over_eta(params, bracket=None):
             f_val = f_function(eta_star, params)
         except PoleError:
             f_val = float("nan")
-    return Optimum(eta_star=eta_star, chi_star=chi_star, f_value=f_val)
+    return Optimum(eta_star=eta_star, chi_star=chi_star, f_value=f_val,
+                   n_evals=n_evals)
 
 
 # ----------------------------------------------------------------------

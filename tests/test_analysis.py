@@ -192,6 +192,20 @@ def test_maximizer_finds_interior_optimum(unequal_rate_params):
         assert bsocr(nearby) < opt.chi_star
 
 
+def test_maximizer_counts_its_evaluations(unequal_rate_params, monkeypatch):
+    # the 64-point scan and five 65-point levels: cells of 0.35/63 shrink
+    # by 32 per level until two of them span <= 1e-8
+    sizes = []
+
+    def counted(base, knob, values):
+        sizes.append(len(values))
+        return evaluate(base, knob, values)
+    monkeypatch.setattr(analysis, "evaluate", counted)
+    opt = maximize_chi_over_eta(unequal_rate_params, bracket=(0.05, 0.4))
+    assert sizes == [64] + [65] * 5
+    assert opt.n_evals == sum(sizes) == 389
+
+
 def test_maximizer_eta_invariant_under_rate_scaling(unequal_rate_params):
     # scaling g and all p by the same factor rescales chi but not eta_star
     opt1 = maximize_chi_over_eta(unequal_rate_params, bracket=(0.05, 0.4))

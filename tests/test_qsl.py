@@ -9,13 +9,14 @@ from qfridge import (CohSubspace, FridgeError, NonCoolingWarning,
                      TrivialEvolutionWarning, UndefinedChiError, bsocr,
                      bsocr_coherent_coeffs, chi_from_g_form, initial_state,
                      qsl_time, steady_state, tradeoff_coeffs)
-from qfridge import qsl
+from qfridge import qsl, steady
 from qfridge.dynamics import heat_current_cold, liouvillian_apply
 from qfridge.linalg import trace_product
 from qfridge.model import (KNOBS, PERTURBATIVE_NOTE, coherence_matrix,
                            thermal_populations, thermal_product)
 from qfridge.qsl import bsocr_closed_equal_p, chi_from_p_form, evaluate
 from conftest import random_params
+from test_steady import _sigma_by_embedding
 
 
 def _chi(params):
@@ -168,6 +169,51 @@ def test_evaluator_matches_the_8x8_path(seed, knob, sub):
             assert pts.tau[i] == pytest.approx(abs(gap) / norm, rel=1e-8)
             assert pts.chi[i] == pytest.approx(pts.q_cool[i] / pts.tau[i],
                                                rel=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore::qfridge.qsl.TrivialEvolutionWarning")
+@pytest.mark.parametrize("seed, knob, sub", [
+    (1, "eta", None), (2, "g", None), (3, "p_equal", None),
+    (4, "kappa", None), (5, "kappa", CohSubspace.OUTER_DIAG),
+    (6, "kappa", CohSubspace.INNER_DIAG)])
+def test_evaluator_is_the_pointwise_path_bit_for_bit(seed, knob, sub):
+    # the grid pass runs the point's IEEE operations in the point's order,
+    # whether steady's diagonals are stacked (eta) or looped over k (the
+    # other knobs), so every column equals steady_state + qsl_time exactly
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        s = sub if knob == "kappa" else [None, *CohSubspace][rng.integers(3)]
+        params = random_params(rng, kappa=float(rng.uniform()) if s else 0.0,
+                               subspace=s)
+        n = int(rng.integers(1, 65))
+        grid = {"eta": rng.uniform(0.01, 2.0 * params.eta, n),
+                "g": rng.uniform(0.001, 0.09, n),
+                "p_equal": rng.uniform(0.001, 0.09, n),
+                "kappa": rng.uniform(0.0, 1.0, n) if s else np.zeros(n)}[knob]
+        pts = evaluate(params, knob, grid)
+        cols = steady.steady_columns(params.grid(knob, grid))
+        for i, v in enumerate(grid.tolist()):
+            pt = dataclasses.replace(params, **dict.fromkeys(KNOBS[knob], v))
+            srep = steady_state(pt)
+            qrep = qsl_time(pt, srep)
+            assert pts.errors[i] is None
+            gap = qsl._speed(pt, srep)[0]   # qsl_time's, signed
+            want = [srep.q_cool, qrep.tau, qrep.chi, srep.gamma, srep.delta,
+                    float(gap), qrep.generator_norm]
+            assert abs(gap) == qrep.purity_gap
+            assert ([repr(float(c[i])) for c in pts[:7]]
+                    == list(map(repr, want)))
+            if knob == "eta":
+                # the (8, n) stacks against the point's loop over k, and
+                # that loop against the thermal product and sigma's terms
+                one = steady.steady_columns(pt)
+                rho, sig = np.array(one.rho_diag), np.array(one.sigma_diag)
+                assert cols.rho_diag[:, i].tobytes() == rho.tobytes()
+                assert cols.sigma_diag[:, i].tobytes() == sig.tobytes()
+                assert rho.tobytes() == np.diag(thermal_product(
+                    thermal_populations(pt))).real.tobytes()
+                assert sig.tobytes() == np.diag(
+                    _sigma_by_embedding(pt)).real.tobytes()
 
 
 # ----------------------------------------------------------------------
