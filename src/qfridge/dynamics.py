@@ -4,8 +4,9 @@ The equation of motion is linear and autonomous,
 
     drho/dt = -i[H, rho] + sum_i p_i (tau_i (x) tr_i rho - rho),
 
-so one fixed step of classic 4th-order Runge-Kutta is exactly the degree-4
-Taylor polynomial of the step propagator,
+with reset i's partial trace and slot as einsum specs in _RESET_SLOTS. One
+fixed step of classic 4th-order Runge-Kutta is exactly the degree-4 Taylor
+polynomial of the step propagator,
 
     R(dt) = I + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24,
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .linalg import embed, partial_trace, trace_distance
+from .linalg import trace_distance
 from .model import (build_hamiltonian, initial_state, thermal_populations,
                     thermal_qubit)
 
@@ -57,6 +58,13 @@ TRANSPOSE_0 = np.array([2 * (a ^ 7 * j) + j for a in range(8) for j in (0, 1)])
 
 # stored samples filled by one batched product
 CHUNK = 64
+
+# reset i of qubits c, r, h on the (..., 2, 2, 2, 2, 2, 2) view of rho, row
+# bits then column bits of (c, r, h): an einsum that traces qubit i out, and
+# one that puts a 2x2 back in its slot beside the other two qubits' bits
+_RESET_SLOTS = (("...iabicd->...abcd", "...ad,...bcef->...abcdef"),
+                ("...aibcid->...abcd", "...be,...acdf->...abcdef"),
+                ("...abicdi->...abcd", "...cf,...abde->...abcdef"))
 
 
 @dataclass
@@ -119,9 +127,11 @@ def liouvillian_apply(params, rho):
         raise ValueError("liouvillian_apply: expected an 8x8 matrix")
     H = build_hamiltonian(params)
     out = -1j * (H @ rho - rho @ H)
-    for p, r_i, label in zip(params.ps, thermal_populations(params), "crh"):
-        reset = embed(thermal_qubit(r_i), partial_trace(rho, label), label)
-        out = out + p * (reset - rho)
+    t = rho.reshape(rho.shape[:-2] + (2,) * 6)
+    for p, r_i, (traced, put) in zip(params.ps, thermal_populations(params),
+                                     _RESET_SLOTS):
+        reset = np.einsum(put, thermal_qubit(r_i), np.einsum(traced, t))
+        out = out + p * (reset.reshape(rho.shape) - rho)
     return out
 
 

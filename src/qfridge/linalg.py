@@ -1,9 +1,8 @@
 """Dense complex matrix kernel for three-qubit (dimension 8) objects.
 
 Everything here is plain numpy on small dense arrays: tensor products,
-partial traces and their inverse slot embedding, trace products, trace
-distances, and an SVD-based null-space solver for the 64x64 vectorized
-generator.
+trace products, trace distances, and an SVD-based null-space solver for
+the 64x64 vectorized generator (the resets' slots are in dynamics).
 
 Basis convention (inherited by every other module): the computational basis
 of the three qubits (c, r, h) is ordered with c most significant, so the
@@ -13,9 +12,6 @@ basis index is k = 4c + 2r + h.
 import numpy as np
 
 from .errors import DegenerateKernelError
-
-# index of each subsystem in the (c, r, h) ordering
-SUBSYSTEMS = {"c": 0, "r": 1, "h": 2}
 
 
 # ----------------------------------------------------------------------
@@ -29,45 +25,6 @@ def tensor(A, B):
     tensor(X_c, tensor(X_r, X_h)) puts X_c on the most significant qubit.
     """
     return np.kron(A, B)
-
-
-def partial_trace(rho, which):
-    """Trace out one qubit of an 8x8 operator, or of a stack (..., 8, 8).
-
-    which : 'c', 'r' or 'h'. The remaining two qubits keep their relative
-    order from (c, r, h), e.g. tracing 'r' leaves the (c, h) pair.
-    Linear and trace-preserving.
-    """
-    rho = np.asarray(rho)
-    if rho.shape[-2:] != (8, 8):
-        raise ValueError("partial_trace: expected an 8x8 matrix")
-    if which not in SUBSYSTEMS:
-        raise ValueError("partial_trace: subsystem must be one of 'c', 'r', 'h'")
-    t = rho.reshape(rho.shape[:-2] + (2,) * 6)
-    # contract the row/column indices of the traced qubit
-    spec = ["iabicd", "aibcid", "abicdi"][SUBSYSTEMS[which]]
-    out = np.einsum("..." + spec + "->...abcd", t)
-    return out.reshape(rho.shape[:-2] + (4, 4))
-
-
-def embed(op, rest, which):
-    """A 2x2 op on qubit `which` times a 4x4 rest on the other two qubits.
-
-    rest keeps the (c, r, h) order of its qubits. The slot map inverse to
-    partial_trace: partial_trace(embed(op, rest, w), w) = tr(op) rest.
-    Leading stack axes of either argument broadcast to a (..., 8, 8) result.
-    """
-    op = np.asarray(op)
-    rest = np.asarray(rest)
-    if op.shape[-2:] != (2, 2) or rest.shape[-2:] != (4, 4):
-        raise ValueError("embed: expected a 2x2 operator and a 4x4 rest")
-    if which not in SUBSYSTEMS:
-        raise ValueError("embed: subsystem must be one of 'c', 'r', 'h'")
-    # row/column indices (a, b, c | d, e, f) of the three qubits
-    spec = ["ad,...bcef", "be,...acdf", "cf,...abde"][SUBSYSTEMS[which]]
-    out = np.einsum("..." + spec + "->...abcdef", op,
-                    rest.reshape(rest.shape[:-2] + (2,) * 4))
-    return out.reshape(out.shape[:-6] + (8, 8))
 
 
 def trace_product(A, B):

@@ -177,7 +177,11 @@ def ground_pop(E, T):
     differs from it in the last bit on a few percent of arguments)."""
     x = -E / T
     if isinstance(x, np.ndarray):
-        return 1.0 / (1.0 + np.array([math.exp(v) for v in x.tolist()]))
+        try:
+            e = [math.exp(v) for v in x.tolist()]
+        except OverflowError:   # v > 0 only where E or T < 0, a refused row
+            e = [math.exp(v) if v < 709.0 else math.inf for v in x.tolist()]
+        return 1.0 / (1.0 + np.array(e))
     return 1.0 / (1.0 + math.exp(x))
 
 

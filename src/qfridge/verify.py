@@ -259,7 +259,9 @@ def check_speed_limit_bounds():
         pbar = js[mask] / ts[mask]
         results.append(_res(
             "5", f"tau <= t_eps at {name}",
-            qrep.tau <= t_eps,
+            t_eps is not None and qrep.tau <= t_eps,
+            f"tau = {qrep.tau:.4f}, but the run never got within eps = 1e-3"
+            f" of rho_f by t_end = {ts[-1]:.0f}" if t_eps is None else
             f"tau = {qrep.tau:.4f} <= t_eps = {t_eps:.2f} (eps = 1e-3)"))
         if name == "tradeoff":
             signed = int(np.sum(pbar > qrep.chi + 1e-12))

@@ -50,3 +50,38 @@ def random_params(rng, kappa=0.0, subspace=None):
         p_h=float(rng.uniform(0.005, 0.08)),
         g=float(rng.uniform(0.005, 0.08)),
         kappa=kappa, coh_subspace=subspace)
+
+
+# ----------------------------------------------------------------------
+# the one-qubit slots of k = 4c + 2r + h, element by element
+# ----------------------------------------------------------------------
+
+def _bits(k):
+    """The bits [c, r, h] of the basis index k = 4c + 2r + h."""
+    return [(k >> 2) & 1, (k >> 1) & 1, k & 1]
+
+
+def embed_by_index(op, rest, i):
+    """The 2x2 op on qubit i (0, 1, 2 for c, r, h) times the 4x4 rest on
+    the other two qubits, kept in (c, r, h) order: one product per
+    element of the 8x8 result."""
+    out = np.zeros((8, 8), dtype=complex)
+    for k in range(8):
+        for l in range(8):
+            bk, bl = _bits(k), _bits(l)
+            ok, ol = bk.pop(i), bl.pop(i)
+            out[k, l] = op[ok, ol] * rest[2 * bk[0] + bk[1], 2 * bl[0] + bl[1]]
+    return out
+
+
+def partial_trace_by_index(rho, i):
+    """Qubit i (0, 1, 2 for c, r, h) traced out of the 8x8 rho: the 4x4 on
+    the other two qubits, kept in (c, r, h) order, summed element by
+    element over the entries of rho with equal row and column bit i."""
+    out = np.zeros((4, 4), dtype=complex)
+    for k in range(8):
+        for l in range(8):
+            bk, bl = _bits(k), _bits(l)
+            if bk.pop(i) == bl.pop(i):
+                out[2 * bk[0] + bk[1], 2 * bl[0] + bl[1]] += rho[k, l]
+    return out

@@ -45,6 +45,7 @@ from qfridge.dynamics import evolve
 from qfridge.qsl import qsl_time
 from qfridge.steady import steady_state
 from qfridge import verify
+from qfridge.cli import main
 from qfridge.verify import (FAIL, KNOWN, tradeoff_params, coupling_sweep_params,
                             omega_variant_residuals, theorem_params)
 
@@ -127,6 +128,24 @@ def test_criteria_2_and_5_integrate_each_named_set_once(monkeypatch):
     verify.check_dynamics_convergence()
     verify.check_speed_limit_bounds()
     assert len(default_runs) == 4
+
+
+def test_a_run_that_never_converges_gives_fail_rows(monkeypatch, capsys):
+    # a named set whose default run never comes within eps of rho_f fails
+    # its tau <= t_eps row, and verify reports it and exits 4
+    monkeypatch.setattr(verify, "convergence_time", lambda *a, **kw: None)
+    verify._default_run.cache_clear()
+    try:
+        rows = [r for r in verify.check_speed_limit_bounds()
+                if r.label.startswith("tau <= t_eps")]
+        assert len(rows) == 4
+        assert all(r.status == FAIL and "never got within eps" in r.detail
+                   for r in rows)
+        assert main(["verify"]) == 4
+        assert capsys.readouterr().out.endswith(
+            "30 passed, 4 known deviations, 4 failed\n")
+    finally:
+        verify._default_run.cache_clear()
 
 
 # ----------------------------------------------------------------------

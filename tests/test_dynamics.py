@@ -11,9 +11,9 @@ from qfridge.dynamics import (HERM_DRIFT_TOL, MIN_EIG_TOL, SAMPLE_BYTES,
                               _sectors, convergence_time, default_dt,
                               default_t_end, evolve, heat_current_cold,
                               liouvillian_apply, liouvillian_matrix)
-from qfridge.linalg import partial_trace, tensor
-from qfridge.model import initial_state, thermal_populations, thermal_qubit
-from conftest import random_params
+from qfridge.model import (build_hamiltonian, initial_state,
+                           thermal_populations, thermal_qubit)
+from conftest import embed_by_index, partial_trace_by_index, random_params
 
 
 def _random_density(rng):
@@ -73,6 +73,28 @@ def test_liouvillian_never_mixes_the_four_sectors(rng):
                    for d in range(4))
 
 
+def test_resets_match_the_element_formulas(rng):
+    # L[rho] + i[H, rho] = sum_i p_i (tau_i in slot i of tr_i rho - rho),
+    # with the partial trace and the slot written out element by element,
+    # on matrices that are neither normalized nor Hermitian, one by one
+    # and as a stack; the error is read against L[rho], whose commutator
+    # part is the larger
+    for _ in range(10):
+        params = random_params(rng)
+        taus = [thermal_qubit(x) for x in thermal_populations(params)]
+        H = build_hamiltonian(params)
+        stack = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
+        stacked = liouvillian_apply(params, stack)
+        for rho, out in zip(stack, stacked):
+            want = sum(p * (embed_by_index(tau, partial_trace_by_index(rho, i),
+                                           i) - rho)
+                       for i, (p, tau) in enumerate(zip(params.ps, taus)))
+            got = liouvillian_apply(params, rho)
+            assert np.array_equal(out, got)
+            assert (np.abs(got + 1j * (H @ rho - rho @ H) - want).max()
+                    <= 1e-15 * np.abs(got).max())
+
+
 def test_heat_current_definition(cooling_params):
     # J_c at the steady state equals the closed form q gamma E_c
     rep = steady_state(cooling_params)
@@ -83,12 +105,12 @@ def test_heat_current_definition(cooling_params):
 def test_heat_current_matches_trace_definition(rng):
     # J_c = p_c tr[(E_c n_c (x) I)(tau_c (x) tr_c rho - rho)], on matrices
     # that are neither normalized nor Hermitian
-    n_c = tensor(np.diag([0.0, 1.0]), np.eye(4))
+    n_c = np.kron(np.diag([0.0, 1.0]), np.eye(4))
     for _ in range(5):
         params = random_params(rng)
         rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         tau_c = thermal_qubit(thermal_populations(params).r_c)
-        reset = tensor(tau_c, partial_trace(rho, "c")) - rho
+        reset = np.kron(tau_c, partial_trace_by_index(rho, 0)) - rho
         oracle = params.p_c * params.E_c * np.trace(n_c @ reset).real
         assert heat_current_cold(params, rho) == pytest.approx(
             oracle, rel=1e-13, abs=1e-15)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from qfridge import DegenerateKernelError, trace_distance
-from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
-                            trace_product)
+from qfridge.linalg import null_space_1d, tensor, trace_product
 
 
 def _random_density(rng, n):
@@ -13,98 +12,13 @@ def _random_density(rng, n):
 
 
 # ----------------------------------------------------------------------
-# tensor / partial trace
+# tensor product
 # ----------------------------------------------------------------------
 
 def test_tensor_matches_kron(rng):
     A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert np.allclose(tensor(A, B), np.kron(A, B), atol=0, rtol=1e-15)
-
-
-def test_partial_trace_preserves_trace(rng):
-    rho = _random_density(rng, 8)
-    for which in "crh":
-        red = partial_trace(rho, which)
-        assert red.shape == (4, 4)
-        assert abs(np.trace(red) - 1.0) < 1e-13
-
-
-def test_partial_trace_product_state(rng):
-    qs = [_random_density(rng, 2) for _ in range(3)]
-    rho = tensor(qs[0], tensor(qs[1], qs[2]))
-    # tracing out one qubit of a product leaves the product of the others
-    assert np.allclose(partial_trace(rho, "c"), tensor(qs[1], qs[2]),
-                       atol=1e-14)
-    assert np.allclose(partial_trace(rho, "r"), tensor(qs[0], qs[2]),
-                       atol=1e-14)
-    assert np.allclose(partial_trace(rho, "h"), tensor(qs[0], qs[1]),
-                       atol=1e-14)
-
-
-def _embed_by_index(op, rest, which):
-    """embed written out element by element from k = 4c + 2r + h."""
-    w = "crh".index(which)
-    out = np.zeros((8, 8), dtype=complex)
-    for k in range(8):
-        for l in range(8):
-            bk = [(k >> 2) & 1, (k >> 1) & 1, k & 1]
-            bl = [(l >> 2) & 1, (l >> 1) & 1, l & 1]
-            ok, ol = bk.pop(w), bl.pop(w)
-            out[k, l] = op[ok, ol] * rest[2 * bk[0] + bk[1], 2 * bl[0] + bl[1]]
-    return out
-
-
-def test_embed_matches_tensor_and_index_formula(rng):
-    # one complex product per element; numpy's kernels may round it
-    # differently in the last bit
-    op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rest = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    close = lambda a, b: np.allclose(a, b, rtol=1e-15, atol=1e-15)
-    assert close(embed(op, rest, "c"), tensor(op, rest))
-    assert close(embed(op, rest, "h"), tensor(rest, op))
-    for which in "crh":
-        assert close(embed(op, rest, which), _embed_by_index(op, rest, which))
-
-
-def test_embed_and_partial_trace_on_a_stack(rng):
-    ops = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    rests = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    rhos = np.array([_random_density(rng, 8) for _ in range(3)])
-    for which in "crh":
-        stacked = embed(ops, rests, which)
-        assert stacked.shape == (3, 8, 8)
-        # a single op broadcasts against a stack of rests
-        shared = embed(ops[0], rests, which)
-        traced = partial_trace(rhos, which)
-        assert traced.shape == (3, 4, 4)
-        for n in range(3):
-            assert np.array_equal(stacked[n], embed(ops[n], rests[n], which))
-            assert np.array_equal(shared[n], embed(ops[0], rests[n], which))
-            assert np.array_equal(traced[n], partial_trace(rhos[n], which))
-
-
-def test_partial_trace_inverts_embed(rng):
-    op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rest = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    for which in "crh":
-        assert np.allclose(partial_trace(embed(op, rest, which), which),
-                           np.trace(op) * rest, atol=1e-14)
-
-
-def test_embed_rejects_bad_input(rng):
-    with pytest.raises(ValueError):
-        embed(np.eye(4), np.eye(2), "c")
-    with pytest.raises(ValueError):
-        embed(np.eye(2), np.eye(4), "x")
-
-
-def test_partial_trace_rejects_unknown_label(rng):
-    rho = _random_density(rng, 8)
-    with pytest.raises(ValueError):
-        partial_trace(rho, "x")
-    with pytest.raises(ValueError):
-        partial_trace(rho, 0)
 
 
 # ----------------------------------------------------------------------

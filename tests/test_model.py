@@ -3,7 +3,6 @@ import pytest
 
 from qfridge import (CohSubspace, FridgeParams, PerturbativeRegimeWarning,
                      initial_state)
-from qfridge.linalg import tensor
 from qfridge.model import (IDX_INNER, IDX_OUTER, build_hamiltonian,
                            coherence_matrix, ground_pop, thermal_populations,
                            thermal_product, thermal_qubit)
@@ -118,8 +117,8 @@ def test_hamiltonian_structure(cooling_params):
 
 def test_initial_state_diagonal_is_thermal_product(cooling_params):
     r = thermal_populations(cooling_params)
-    prod = tensor(thermal_qubit(r.r_c),
-                  tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    prod = np.kron(thermal_qubit(r.r_c),
+                   np.kron(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
     rho0 = initial_state(cooling_params)
     assert np.array_equal(thermal_product(r), prod)
     assert np.allclose(rho0, prod, atol=1e-15)

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfridge import (CohSubspace, FridgeError, NonCoolingWarning,
-                     TrivialEvolutionWarning, UndefinedChiError, bsocr,
-                     bsocr_coherent_coeffs, chi_from_g_form, initial_state,
-                     qsl_time, steady_state, tradeoff_coeffs)
+from qfridge import (CohSubspace, FridgeError, FridgeParams,
+                     NonCoolingWarning, TrivialEvolutionWarning,
+                     UndefinedChiError, bsocr, bsocr_coherent_coeffs,
+                     chi_from_g_form, initial_state, qsl_time, steady_state,
+                     tradeoff_coeffs)
 from qfridge import qsl, steady
 from qfridge.dynamics import heat_current_cold, liouvillian_apply
-from qfridge.linalg import trace_product
 from qfridge.model import (KNOBS, PERTURBATIVE_NOTE, coherence_matrix,
                            thermal_populations, thermal_product)
 from qfridge.qsl import bsocr_closed_equal_p, chi_from_p_form, evaluate
@@ -52,8 +52,8 @@ def test_purity_gap_equals_overlap_difference(cooling_params, rng):
         rep = steady_state(params)
         qrep = qsl_time(params, rep)
         rho0 = initial_state(params)
-        naive = abs(trace_product(rho0, rep.rho_f).real
-                    - trace_product(rho0, rho0).real)
+        naive = abs(np.trace(rho0 @ rep.rho_f).real
+                    - np.trace(rho0 @ rho0).real)
         assert qrep.purity_gap == pytest.approx(naive, rel=1e-8, abs=1e-18)
 
 
@@ -151,8 +151,8 @@ def test_evaluator_matches_the_8x8_path(seed, knob, sub):
         rho_f = rho_d + gamma * sigma
         rho0 = initial_state(pt)
         mu = coherence_matrix(pt)
-        terms = (gamma * trace_product(rho_d, sigma).real,
-                 trace_product(mu, mu).real)
+        terms = (gamma * np.trace(rho_d @ sigma).real,
+                 np.trace(mu @ mu).real)
         gap, scale = terms[0] - terms[1], max(map(abs, terms))
         norm = np.linalg.norm(liouvillian_apply(pt, rho0))
         q_cool = heat_current_cold(pt, rho_f)
@@ -169,6 +169,35 @@ def test_evaluator_matches_the_8x8_path(seed, knob, sub):
             assert pts.tau[i] == pytest.approx(abs(gap) / norm, rel=1e-8)
             assert pts.chi[i] == pytest.approx(pts.q_cool[i] / pts.tau[i],
                                                rel=1e-14)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(KNOBS)),
+       st.lists(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                 -1e-300, -1e-4, -7e-4, -0.3, 0.05, 0.3,
+                                 0.7]), min_size=1, max_size=6))
+def test_evaluator_refuses_out_of_domain_rows(knob, grid):
+    # each row that FridgeParams refuses is an error row with its message,
+    # never a raise: at eta in (-7.04e-4, 0) E_r < 0 sends exp(-E_r/T_r)
+    # past the float range; the rows it builds keep the bits they have
+    # with no refused row beside them
+    base = FridgeParams(E_c=1.0, eta=0.5, T_c=1.0, T_r=2.0, T_h=10.0,
+                        p_c=0.05, p_r=0.05, p_h=0.05, g=0.05)
+    pts = evaluate(base, knob, np.array(grid))
+    built = []
+    for i, v in enumerate(grid):
+        try:
+            dataclasses.replace(base, **dict.fromkeys(KNOBS[knob], v))
+        except ValueError as exc:
+            assert pts.notes[i][0] == "error: %s" % exc
+            assert isinstance(pts.errors[i], ValueError)
+            assert all(math.isnan(c[i]) for c in pts[:7])
+        else:
+            built.append(i)
+    if built:
+        alone = evaluate(base, knob, np.array(grid)[built])
+        for c, a in zip(pts[:9], alone[:9]):
+            assert repr([c[i] for i in built]) == repr(list(a))
 
 
 @pytest.mark.filterwarnings("ignore::qfridge.qsl.TrivialEvolutionWarning")

@@ -5,12 +5,11 @@ import dataclasses
 
 from qfridge import FridgeError, FridgeParams, carnot_cop, steady_state
 from qfridge.dynamics import liouvillian_apply, liouvillian_matrix
-from qfridge.linalg import (embed, null_space_1d, partial_trace, tensor,
-                            trace_product)
+from qfridge.linalg import null_space_1d
 from qfridge.model import (IDX_INNER, thermal_populations,
                            thermal_qubit)
 from qfridge.steady import rate_combos
-from conftest import random_params
+from conftest import embed_by_index, partial_trace_by_index, random_params
 
 
 def _delta(r):
@@ -35,9 +34,10 @@ def _lambda(params):
 
 
 def _sigma_by_embedding(params):
-    """sigma term by term as 8x8 operators, each product term placed by
-    linalg.embed and each two-qubit Z_ij taken as a partial trace of Z_crh:
-    the reference for steady_state's sigma, built from its diagonal.
+    """sigma term by term as 8x8 operators, each product term placed in
+    its qubit's slot and each two-qubit Z_ij taken as a partial trace of
+    Z_crh, both element by element: the reference for steady_state's
+    sigma, built from its diagonal.
     """
     q, (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = rate_combos(*params.ps)
     tau_c, tau_r, tau_h = (thermal_qubit(x)
@@ -50,12 +50,12 @@ def _sigma_by_embedding(params):
     z_crh[i, i], z_crh[j, j] = 1.0, -1.0
     y = np.zeros((8, 8), dtype=complex)
     y[j, i], y[i, j] = 1j, -1j
-    return (Q_rh * embed(z_c, tensor(tau_r, tau_h), "c")
-            + Q_ch * embed(z_r, tensor(tau_c, tau_h), "r")
-            + Q_cr * embed(z_h, tensor(tau_c, tau_r), "h")
-            + q_c * embed(tau_c, partial_trace(z_crh, "c"), "c")
-            + q_r * embed(tau_r, partial_trace(z_crh, "r"), "r")
-            + q_h * embed(tau_h, partial_trace(z_crh, "h"), "h")
+    return (Q_rh * embed_by_index(z_c, np.kron(tau_r, tau_h), 0)
+            + Q_ch * embed_by_index(z_r, np.kron(tau_c, tau_h), 1)
+            + Q_cr * embed_by_index(z_h, np.kron(tau_c, tau_r), 2)
+            + q_c * embed_by_index(tau_c, partial_trace_by_index(z_crh, 0), 0)
+            + q_r * embed_by_index(tau_r, partial_trace_by_index(z_crh, 1), 1)
+            + q_h * embed_by_index(tau_h, partial_trace_by_index(z_crh, 2), 2)
             + z_crh
             + (q / (2.0 * params.g)) * y)
 
@@ -144,8 +144,8 @@ def _check_point(params):
     # sigma is traceless; rho_f = thermal product + gamma sigma
     assert abs(np.trace(rep.sigma)) <= 1e-13
     r = thermal_populations(params)
-    prod = tensor(thermal_qubit(r.r_c),
-                  tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+    prod = np.kron(thermal_qubit(r.r_c),
+                   np.kron(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
     assert np.allclose(rep.rho_f, prod + rep.gamma * rep.sigma, atol=1e-14)
     # scalar bookkeeping
     assert rep.q_cool == pytest.approx(params.q * rep.gamma * params.E_c,
@@ -174,10 +174,10 @@ def test_report_scalars_match_their_definitions(cooling_params, rng):
         assert rep.gamma == pytest.approx(
             -_delta(r) / (_lambda(params)
                           + params.q ** 2 / (2.0 * params.g ** 2)), rel=1e-14)
-        rho_diag = tensor(thermal_qubit(r.r_c),
-                          tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+        rho_diag = np.kron(thermal_qubit(r.r_c),
+                           np.kron(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
         assert rep.overlap == pytest.approx(
-            trace_product(rho_diag, rep.sigma).real, rel=1e-13)
+            np.trace(rho_diag @ rep.sigma).real, rel=1e-13)
 
 
 def test_steady_state_fixed_point_and_report(cooling_params, heating_params,
@@ -228,9 +228,9 @@ def test_overlap_closed_form_matches_trace(rng):
         rep = steady_state(params)
         r = thermal_populations(params)
         _, (q_c, q_r, q_h), (Q_cr, Q_ch, Q_rh) = rate_combos(*params.ps)
-        rho_diag = tensor(thermal_qubit(r.r_c),
-                          tensor(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
-        direct = trace_product(rho_diag, rep.sigma).real
+        rho_diag = np.kron(thermal_qubit(r.r_c),
+                           np.kron(thermal_qubit(r.r_r), thermal_qubit(r.r_h)))
+        direct = np.trace(rho_diag @ rep.sigma).real
         pi = lambda ri: ri * ri + (1 - ri) * (1 - ri)
         pc, pr, ph = pi(r.r_c), pi(r.r_r), pi(r.r_h)
         rc, rr, rh = r
