@@ -203,8 +203,8 @@ def f_function(eta, params):
     high-temperature regime is maximizing F. Independent of the reset
     rates and of g.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError("eta must be positive and finite")
     x_c = params.E_c / params.T_c
     x_r = (params.E_c / params.T_r) * (1.0 + 1.0 / eta)
     x_h = params.E_c / (eta * params.T_h)

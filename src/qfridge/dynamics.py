@@ -14,14 +14,15 @@ applied to vec(rho). The generator never mixes the four 16-dim sectors of
 matrix units |a><b| with a^b in {d, d^7}, d = 0..3 (SECTORS): resets keep
 a^b and the swap |010><101| flips it by 7. evolve() records the sectors
 rho0 occupies and builds, for each, the 16x16 block of L, its R and
-P = R^store_every, and fills each run of up to CHUNK stored samples with
-one product by the stack P, P^2, ... (one R^remainder ends a grid whose
-step count is not a multiple of store_every). Every library-built state
-lies in sector 0, a direct sum of 2x2 blocks on the pairs (a, a^7): its
-drift checks and trace distances to rho_f read the 16 sector-0 numbers of
-each sample, with closed-form spectra. Unit tests pin R to the textbook
-k1..k4 step built from liouvillian_apply to ~1e-15, and the stored
-samples to step-by-step loops of it and of liouvillian_matrix.
+P = R^store_every, and fills the stored samples by doubling: with k
+samples filled, the next k are the first k times P^k, and P^k is squared
+(one R^remainder ends a grid whose step count is not a multiple of
+store_every). Every library-built state lies in sector 0, a direct sum
+of 2x2 blocks on the pairs (a, a^7): its drift checks and trace distances
+to rho_f read the 16 sector-0 numbers of each sample, with closed-form
+spectra. Unit tests pin R to the textbook k1..k4 step built from
+liouvillian_apply to ~1e-15, and the stored samples to step-by-step loops
+of it and of liouvillian_matrix.
 """
 
 import os
@@ -43,8 +44,9 @@ MIN_EIG_TOL = -1e-8
 SAMPLE_BYTES = 64 * 16 + 8
 
 # a run's peak memory in SAMPLE_BYTES per stored sample (tracemalloc read
-# 1.90 and 4.02): the drift check's temporaries beside the stack, (n, 16)
-# on sector 0, the whole (n, 8, 8) stack's Hermitian parts and eigvalsh else
+# 1.905 and 4.022 on 6,001 samples): the drift check's temporaries beside
+# the stack, (n, 16) on sector 0, the whole (n, 8, 8) stack's Hermitian
+# parts and eigvalsh else
 PEAK_FACTOR_SECTOR_0, PEAK_FACTOR_OTHER = 2.0, 4.1
 
 # flat indices 8a + b of the matrix units |a><b| in each of the four
@@ -55,9 +57,6 @@ SECTORS = np.array([[8 * a + b for a in range(8) for b in (a ^ d, a ^ d ^ 7)]
 
 # position in sector 0 of the transpose |a^7j><a| of its unit 2a + j
 TRANSPOSE_0 = np.array([2 * (a ^ 7 * j) + j for a in range(8) for j in (0, 1)])
-
-# stored samples filled by one batched product
-CHUNK = 64
 
 # reset i of qubits c, r, h on the (..., 2, 2, 2, 2, 2, 2) view of rho, row
 # bits then column bits of (c, r, h): an einsum that traces qubit i out, and
@@ -156,6 +155,8 @@ def heat_current_cold(params, rho):
     reduction p_c E_c (rbar_c tr(rho) - tr(rho[4:, 4:])).
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (8, 8):
+        raise ValueError("heat_current_cold: expected an 8x8 matrix")
     rbar_c = 1.0 - thermal_populations(params).r_c
     excess = (rbar_c * np.trace(rho, axis1=-2, axis2=-1)
               - np.trace(rho[..., 4:, 4:], axis1=-2, axis2=-1))
@@ -238,33 +239,24 @@ def evolve(params, rho0=None, t_end=None, dt=None, store_every=None):
         steps = np.append(steps, n_steps)
     states = np.zeros((len(steps), 64), dtype=complex)
     vec0 = rho0.ravel()
-    m = min(CHUNK, n_full)
     for idx in SECTORS[list(sectors)]:
-        v = vec0[idx]
         units = np.eye(64, dtype=complex)[idx].reshape(16, 8, 8)
         A = dt * liouvillian_apply(params, units).reshape(16, 64)[:, idx].T
         R = term = np.eye(16, dtype=complex)
         for k in range(1, 5):
             term = term @ A / k
             R = R + term
-        states[0, idx] = v
-        if m:
-            # powers[j - 1] = P^j for P = R^store_every, filled by doubling
-            powers = np.empty((m, 16, 16), dtype=complex)
-            powers[0] = np.linalg.matrix_power(R, store_every)
-            k = 1
-            while k < m:
-                j = min(k, m - k)
-                np.matmul(powers[:j], powers[k - 1], out=powers[k:k + j])
-                k += j
-            flat = powers.reshape(16 * m, 16)
-            for lo in range(1, n_full + 1, m):
-                hi = min(lo + m, n_full + 1)
-                states[lo:hi, idx] = (flat[:16 * (hi - lo)] @ v).reshape(
-                    hi - lo, 16)
-                v = states[hi - 1, idx]
+        states[0, idx] = vec0[idx]
+        # P = R^(k store_every) takes samples 0..j-1 to samples k..k+j-1:
+        # each pass doubles the filled samples
+        P, k = np.linalg.matrix_power(R, store_every), 1
+        while k <= n_full:
+            j = min(k, n_full + 1 - k)
+            states[k:k + j, idx] = states[:j, idx] @ P.T
+            P, k = P @ P, k + j
         if rest:
-            states[-1, idx] = np.linalg.matrix_power(R, rest) @ v
+            states[-1, idx] = (np.linalg.matrix_power(R, rest)
+                               @ states[n_full, idx])
     times = steps * dt
     times[-1] = t_end
     states = states.reshape(-1, 8, 8)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundaryMaximumError
-from .linalg import null_space_1d, trace_distance
+from .linalg import null_space_1d
 from .model import (CohSubspace, FridgeParams, build_hamiltonian,
                     coherence_matrix, initial_state, thermal_populations,
                     thermal_product)
@@ -157,7 +157,7 @@ def _default_run(name):
     srep = steady_state(pp)
     traj = evolve(pp)
     return (qsl_time(pp, srep), traj.times, traj.currents,
-            trace_distance(traj.states[-1], srep.rho_f),
+            traj.trace_distances(srep.rho_f)[-1],
             convergence_time(traj, srep.rho_f, eps=1e-3))
 
 

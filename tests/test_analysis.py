@@ -353,7 +353,7 @@ def test_f_function_explicit_value():
     assert f_function(eta, params) == pytest.approx(expected, rel=1e-14)
 
 
-@pytest.mark.parametrize("eta", [0.0, -0.1])
+@pytest.mark.parametrize("eta", [0.0, -0.1, np.nan, np.inf])
 def test_f_function_needs_positive_eta(eta):
     with pytest.raises(ValueError, match="eta must be positive"):
         f_function(eta, _theorem_point())

@@ -120,6 +120,10 @@ def test_heat_current_matches_trace_definition(rng):
     assert stacked.shape == (3,)
     for n in range(3):
         assert stacked[n] == heat_current_cold(params, stack[n])
+    # the reduction reads rho[4:, 4:], so any other shape is refused
+    for bad in (np.eye(4) / 4, np.eye(16) / 16):
+        with pytest.raises(ValueError, match="expected an 8x8 matrix"):
+            heat_current_cold(params, bad)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +145,11 @@ def test_one_step_matches_textbook_rk4(cooling_params, rng):
     (0.7, 7),    # 70 steps, a multiple of store_every
     (0.5, 7),    # 50 = 7 * 7 + 1 steps: the last sample takes R^1
     (0.05, 7),   # 5 steps, fewer than store_every: only R^5
-], ids=["every-step", "multiple", "remainder", "short"])
+    (0.63, 1),   # 64 samples: the doubling ends on a power of two
+    (0.64, 1),   # 65 samples: one more pass for the last sample
+    (2.55, 2),   # 128 full samples, then 255 = 2 * 127 + 1 takes R^1
+], ids=["every-step", "multiple", "remainder", "short", "64-samples",
+        "65-samples", "128-samples-remainder"])
 def test_stored_samples_match_a_step_by_step_loop(coherent_params, t_end,
                                                   store_every):
     traj = evolve(coherent_params, t_end=t_end, dt=0.01,
