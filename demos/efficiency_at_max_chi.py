@@ -12,9 +12,9 @@ finite-time engines.
 
 This script sweeps chi over the cooling window for a three-bath machine
 with deliberately unequal reset rates, draws the curve as a text bar
-chart, then locates the interior maximum with the derivative-free zoom
-(a 64-point scan, then 65-point grids over the best two cells) and
-sanity-checks it against the grid.
+chart, then locates the interior maximum (a 64-point scan, then the
+root of chi's complex-step derivative dchi/deta in the best two cells)
+and sanity-checks it against the grid.
 
 Run:  python3 demos/efficiency_at_max_chi.py
 """
@@ -61,11 +61,11 @@ print("states, starving the bias; at eta -> eta_C the populations match")
 print("and the current dies.")
 
 # ----------------------------------------------------------------------
-# 2. the interior maximum, located without derivatives
+# 2. the interior maximum, where dchi/deta = 0
 # ----------------------------------------------------------------------
 print()
 print("=" * 72)
-print("zoom maximum")
+print("interior maximum")
 print("=" * 72)
 opt = maximize_chi_over_eta(make_params(0.4))
 print(f"  eta_star  = {opt.eta_star:.7f}   ({opt.eta_star / eta_c:.1%} of Carnot)")

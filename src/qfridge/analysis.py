@@ -2,8 +2,10 @@
 high-temperature closed forms (F-function, approximate chi, and the
 efficiency-at-maximal-chi root formula with its scaling limit). A sweep
 is one qsl.evaluate call for its whole grid and returns that call's
-columns; the optimizer makes one call for its scan and one per level of
-zoom_max, the one search on grids here.
+columns; the optimizer makes one call for its scan, then finds the root
+of chi's complex-step derivative next to the scan's best, one
+qsl.chi_at_eta point per step. zoom_max, the one search on grids here,
+serves verify.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 from .errors import BoundaryMaximumError, FridgeError, PoleError
 from .model import KNOBS
 from .steady import carnot_cop
-from .qsl import evaluate
+from .qsl import chi_at_eta, evaluate
 
 
 class HighTemperatureValidityWarning(UserWarning):
@@ -89,7 +91,8 @@ def run_sweep(spec):
 @dataclass(frozen=True)
 class Optimum:
     """Result of maximizing chi over eta inside the cooling window;
-    n_evals counts the chi values evaluated (the scan and every level)."""
+    n_evals counts the chi values evaluated (the scan and every point of
+    the refinement)."""
     eta_star: float
     chi_star: float
     f_value: float
@@ -122,21 +125,57 @@ def zoom_max(f, xs, ys, tol):
     return x, y
 
 
+def _sign_change(f, a, fa, b, fb):
+    """A point x where f changes sign in [a, b], from f's values fa and fb
+    of opposite signs at the ends: Illinois steps (the secant through the
+    ends, halving the end value kept twice running), and a bisection
+    wherever the secant falls outside (a, b), by round-off or a NaN, or
+    the last four steps have not quartered the bracket, as near a pole.
+    The steps stop when a and b are adjacent floats; x is the one where
+    |f| is smaller."""
+    ga, gb, kept = fa, fb, 0
+    widths = [math.inf] * 4   # the bracket before each step
+    while True:
+        x = b - gb * (b - a) / (gb - ga)
+        if not (a < x < b and b - a <= 0.25 * widths[-4]):
+            x = a + 0.5 * (b - a)
+            if not a < x < b:
+                break
+        widths.append(b - a)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa, ga = x, fx, fx
+            gb, kept = (0.5 * gb if kept == 1 else gb), 1
+        else:
+            b, fb, gb = x, fx, fx
+            ga, kept = (0.5 * ga if kept == -1 else ga), -1
+    return b if abs(fb) < abs(fa) else a
+
+
+_H = 1e-30   # the complex step: dchi/deta = chi(eta + i h).imag / h
+
+
 def maximize_chi_over_eta(params, bracket=None):
     """Locate the interior maximum of chi(eta) on the bracket.
 
     A 64-point scan, one qsl.evaluate call, selects the best grid point;
-    zoom_max then narrows the two cells around it with one evaluate call
-    per 65-point level until they span <= 1e-8. eta_star is the point of
-    the largest chi evaluated, so chi_star is never below the scan's
-    best. A point that evaluate refuses, at the scan or at any level,
-    raises its error, the first in grid order.
-    If the scan puts the maximum on a bracket endpoint the function
-    raises BoundaryMaximumError with the endpoint values, since a
-    boundary argmax means the bracket does not contain the claimed
-    interior optimum. The returned f_value is the high-temperature
-    F-function at eta_star (NaN at its pole), recorded as a diagnostic
-    whatever the temperature regime.
+    a root search (_sign_change) then finds the zero of dchi/deta in the
+    two cells around it, to adjacent floats. The derivative is chi's
+    complex step, chi(eta + i h).imag / h at h = 1e-30 (Squire & Trapp
+    1998): one point of qsl_time's formulas each (qsl.chi_at_eta), exact
+    to round-off with no difference to cancel. eta_star is that root where
+    chi there beats the scan's best, else the scan's best, so chi_star
+    is never below it. A point that evaluate refuses raises its error:
+    the scan's first in grid order, or the refinement point's own.
+    If the scan's best is a bracket endpoint, or next to a point where
+    chi is not finite, the function raises BoundaryMaximumError with the
+    endpoint values, since the bracket then does not contain the claimed
+    interior optimum; an endpoint whose derivative points into the
+    bracket has its end cell searched instead. The returned f_value is
+    the high-temperature F-function at eta_star (NaN at its pole),
+    recorded as a diagnostic whatever the temperature regime.
 
     chi is maximized exactly as defined. On parameter sets where the
     purity gap crosses zero inside the bracket the speed-limit bound
@@ -163,6 +202,14 @@ def maximize_chi_over_eta(params, bracket=None):
             raise error
         return pts.chi
 
+    def point(eta):
+        nonlocal n_evals
+        n_evals += 1
+        return chi_at_eta(params, eta)
+
+    def slope(eta):
+        return float(point(complex(eta, _H)).imag) / _H
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         xs = np.linspace(lo, hi, 64)
@@ -172,15 +219,26 @@ def maximize_chi_over_eta(params, bracket=None):
             raise FridgeError("chi is not finite anywhere on the bracket")
         vals = np.where(finite, raw, -np.inf)
         i = int(np.argmax(vals))
-        # an argmax at an endpoint, or next to a point where chi is not
-        # finite (tau -> 0 near the Carnot edge), cannot be bracketed
-        if i == 0 or i == len(xs) - 1 or not (finite[i - 1] and finite[i + 1]):
+        # the cells around the best point, or the one end cell at an end;
+        # a bracketable maximum has finite chi at both ends of them and
+        # dchi/deta > 0 > dchi/deta from the left end to the right
+        a, b = max(i - 1, 0), min(i + 1, len(xs) - 1)
+        ok = finite[a] and finite[b]
+        if ok:
+            da, db = slope(float(xs[a])), slope(float(xs[b]))
+            ok = 0 < i < len(xs) - 1 or da > 0.0 > db
+        if not ok:
             raise BoundaryMaximumError(
                 "chi has no bracketable interior maximum: best grid point "
                 f"eta={xs[i]:.8g} (index {i} of {len(xs)}); "
                 f"chi(lo)={raw[0]:.6g}, chi(hi)={raw[-1]:.6g}, "
                 f"chi(best)={vals[i]:.6g}")
-        eta_star, chi_star = zoom_max(chi, xs, raw, 1e-8)
+        eta_star, chi_star = float(xs[i]), float(raw[i])
+        if da > 0.0 > db:
+            root = _sign_change(slope, float(xs[a]), da, float(xs[b]), db)
+            y = float(point(root))
+            if y > chi_star and math.isfinite(y):
+                eta_star, chi_star = root, y
         try:
             f_val = f_function(eta_star, params)
         except PoleError:

@@ -9,6 +9,7 @@ through a reset channel of rate p_i. A resonant three-body interaction of
 strength g couples |010> and |101>. Units: hbar = k_B = 1.
 """
 
+import cmath
 import math
 import numbers
 import warnings
@@ -174,7 +175,8 @@ class ThermalPopulations(NamedTuple):
 def ground_pop(E, T):
     """Thermal ground-state probability (1 + exp(-E/T))^{-1} in (1/2, 1)
     for E, T > 0; elementwise on a 1-D array E, still with math.exp (np.exp
-    differs from it in the last bit on a few percent of arguments)."""
+    differs from it in the last bit on a few percent of arguments). A
+    complex E, a complex step in eta, takes cmath.exp."""
     x = -E / T
     if isinstance(x, np.ndarray):
         try:
@@ -182,6 +184,8 @@ def ground_pop(E, T):
         except OverflowError:   # v > 0 only where E or T < 0, a refused row
             e = [math.exp(v) if v < 709.0 else math.inf for v in x.tolist()]
         return 1.0 / (1.0 + np.array(e))
+    if isinstance(x, complex):
+        return 1.0 / (1.0 + cmath.exp(x))
     return 1.0 / (1.0 + math.exp(x))
 
 

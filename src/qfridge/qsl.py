@@ -13,8 +13,9 @@ Every quantity here is a scalar formula in the steady scalars and the
 coherence amplitude a of rho0 = rho_diag + mu; no 8x8 matrix is built.
 The tests check these exact reductions against the direct traces.
 evaluate computes them, with Q_c, for a 1-D grid of one knob in one
-broadcast pass: each sweep, and each level of the optimizer's scan and
-zoom, is one call. qsl_time reads the same formulas on one point's floats.
+broadcast pass: each sweep, and the optimizer's scan, is one call.
+qsl_time reads the same formulas on one point's floats, and the
+optimizer's refinement on one point's complex step in eta.
 """
 
 import math
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FridgeError, PoleError, UndefinedChiError
-from .model import (PERTURBATIVE_NOTE, CohSubspace, _quotient, _square,
-                    coherence_amplitude, domain_checks, outside_perturbative,
-                    thermal_populations)
+from .model import (PERTURBATIVE_NOTE, CohSubspace, FridgeParams, _quotient,
+                    _square, coherence_amplitude, domain_checks,
+                    outside_perturbative, thermal_populations)
 from .steady import steady_columns, steady_state
 
 
@@ -96,12 +97,17 @@ def _initial_speed(params, steady):
 def _speed(params, steady):
     """The signed purity gap, the generator norm, tau and chi from steady's
     scalars, then the masks of qsl_time's zero-norm refusal and of its
-    stationary and coinciding starts; floats or grid columns."""
+    stationary and coinciding starts; floats or grid columns. On a complex
+    step in eta (a coherent start's gap is a numpy complex128, which
+    isinstance counts as complex) |gap| is gap or -gap by the sign of its
+    real part, the analytic branch, so chi.imag carries dchi/deta."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gd2, a2, w2 = _initial_speed(params, steady)
         norm = np.sqrt(2.0 * (gd2 + a2 * (_square(params.q) + w2)))
         gap = steady.gamma * steady.overlap - 2.0 * a2
-        tau = _quotient(abs(gap), norm, 0.0)
+        size = ((-gap if gap.real < 0 else gap) if isinstance(gap, complex)
+                else abs(gap))
+        tau = _quotient(size, norm, 0.0)
         chi = _quotient(steady.q_cool, tau, np.nan)
     zero = norm == 0.0
     return (gap, norm, tau, chi, zero & (abs(gap) > 1e-14),
@@ -171,6 +177,23 @@ def evaluate(base, knob, values):
     if any(errors):
         cols[:, [i for i, e in enumerate(errors) if e is not None]] = np.nan
     return PointColumns(*cols, tuple(errors), tuple(notes))
+
+
+def chi_at_eta(base, eta):
+    """chi of base at the one efficiency eta, a float or a complex step
+    eta + i h, from qsl_time's formulas on an unchecked copy: raises the
+    refusal evaluate gives that row (steady_columns' overflows, a zero
+    generator norm). A float eta gives evaluate's chi bit for bit."""
+    p = object.__new__(FridgeParams)
+    p.__dict__.update(vars(base), eta=eta)
+    s = steady_columns(p)
+    for message, bad in s.refusals:
+        if bad:
+            raise FridgeError(message)
+    chi, zero_norm = _speed(p, s)[3:5]
+    if zero_norm:
+        raise FridgeError(_ZERO_NORM)
+    return chi
 
 
 def _rows(mask, n):

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -11,8 +13,8 @@ from qfridge import (BoundaryMaximumError, CohSubspace, FridgeError,
                      SweepSpec, bsocr, carnot_cop, chi_highT,
                      eta_opt_asymptotic, f_function, maximize_chi_over_eta,
                      qsl_time, run_sweep, steady_state)
-from qfridge import analysis
-from qfridge.qsl import evaluate
+from qfridge import analysis, qsl, steady
+from qfridge.qsl import chi_at_eta, evaluate
 
 from conftest import random_params
 
@@ -193,17 +195,31 @@ def test_maximizer_finds_interior_optimum(unequal_rate_params):
 
 
 def test_maximizer_counts_its_evaluations(unequal_rate_params, monkeypatch):
-    # the 64-point scan and five 65-point levels: cells of 0.35/63 shrink
-    # by 32 per level until two of them span <= 1e-8
-    sizes = []
+    # the 64-point scan in one evaluate call, then one point per step of
+    # the refinement: complex steps at the ends of the best point's two
+    # cells and inside them, and the real chi at the root
+    sizes, points = [], []
 
     def counted(base, knob, values):
         sizes.append(len(values))
         return evaluate(base, knob, values)
+
+    def counted_point(base, eta):
+        points.append(eta)
+        return chi_at_eta(base, eta)
     monkeypatch.setattr(analysis, "evaluate", counted)
+    monkeypatch.setattr(analysis, "chi_at_eta", counted_point)
     opt = maximize_chi_over_eta(unequal_rate_params, bracket=(0.05, 0.4))
-    assert sizes == [64] + [65] * 5
-    assert opt.n_evals == sum(sizes) == 389
+    assert sizes == [64]
+    assert opt.n_evals == 64 + len(points) == 76
+    xs = np.linspace(0.05, 0.4, 64)
+    i = int(np.argmax(evaluate(unequal_rate_params, "eta", xs).chi))
+    steps = points[:-1]
+    assert all(isinstance(z, complex) and z.imag == analysis._H
+               for z in steps)
+    assert [z.real for z in steps[:2]] == [xs[i - 1], xs[i + 1]]
+    assert all(xs[i - 1] < z.real < xs[i + 1] for z in steps[2:])
+    assert points[-1] == opt.eta_star and type(points[-1]) is float
 
 
 def test_maximizer_eta_invariant_under_rate_scaling(unequal_rate_params):
@@ -233,11 +249,17 @@ def test_maximizer_agrees_with_fine_grid(unequal_rate_params):
     lambda seed: random_params(np.random.default_rng(seed))))
 @example(FridgeParams(E_c=1.0, eta=0.4, T_c=1.0, T_r=2.0, T_h=10.0,
                       p_c=0.01, p_r=0.02, p_h=0.05, g=0.01))
+@example(random_params(np.random.default_rng(57457505)))   # T_r ~ T_h
 def test_maximizer_returns_an_evaluated_point_near_the_dense_argmax(params):
     eta_c = carnot_cop(params.T_c, params.T_r, params.T_h)
     lo, hi = 1e-2 * eta_c, (1.0 - 1e-6) * eta_c
     dense = np.linspace(lo, hi, 4097)
     pts = evaluate(params, "eta", dense)
+    if np.isnan(pts.chi).all():   # every start stationary: no maximum
+        with pytest.raises(FridgeError,
+                           match="chi is not finite anywhere on the bracket"):
+            maximize_chi_over_eta(params)
+        return
     j = int(np.nanargmax(pts.chi))
     # an interior maximum, and no pole of chi (a purity-gap zero) to chase
     assume(0 < j < len(dense) - 1)
@@ -247,6 +269,87 @@ def test_maximizer_returns_an_evaluated_point_near_the_dense_argmax(params):
     assert opt.chi_star >= np.nanmax(scan)
     assert opt.chi_star == evaluate(params, "eta", [opt.eta_star]).chi[0]
     assert abs(opt.eta_star - dense[j]) <= dense[1] - dense[0]
+
+
+@pytest.mark.parametrize("seed", [647, 838, 872, 1382])
+def test_maximizer_searches_an_end_cell_whose_slope_points_inward(seed):
+    # chi peaks inside the scan's first cell, so the scan's best is its
+    # lower end; dchi/deta > 0 there, and the search of that cell lands
+    # within one dense cell of the dense argmax
+    params = random_params(np.random.default_rng(seed))
+    eta_c = carnot_cop(params.T_c, params.T_r, params.T_h)
+    lo, hi = 1e-2 * eta_c, (1.0 - 1e-6) * eta_c
+    xs, dense = np.linspace(lo, hi, 64), np.linspace(lo, hi, 4097)
+    scan = evaluate(params, "eta", xs).chi
+    j = int(np.nanargmax(evaluate(params, "eta", dense).chi))
+    assert int(np.nanargmax(scan)) == 0 and 0 < j and dense[j] < xs[1]
+    opt = maximize_chi_over_eta(params)
+    assert abs(opt.eta_star - dense[j]) <= dense[1] - dense[0]
+    assert opt.chi_star > scan[0]
+    assert opt.chi_star == evaluate(params, "eta", [opt.eta_star]).chi[0]
+
+
+def test_maximizer_pins_the_lock_sets_root(unequal_rate_params, monkeypatch):
+    # the refinement's root is fixed to a few ulps, and the complex step
+    # leaves no trace of h in it
+    root = 0.19104269035623886
+    for bracket in ((0.05, 0.4), None):
+        opt = maximize_chi_over_eta(unequal_rate_params, bracket=bracket)
+        assert abs(opt.eta_star - root) <= 4.0 * math.ulp(root)
+        monkeypatch.setattr(analysis, "_H", 1e-20)
+        again = maximize_chi_over_eta(unequal_rate_params, bracket=bracket)
+        monkeypatch.undo()
+        assert (again.eta_star, again.chi_star) == (opt.eta_star,
+                                                    opt.chi_star)
+
+
+@pytest.mark.parametrize("subspace", [None, CohSubspace.OUTER_DIAG,
+                                      CohSubspace.INNER_DIAG])
+def test_complex_step_slope_matches_central_differences(subspace):
+    # chi(eta + i h).imag / h against central differences of evaluate's
+    # real chi; a coherent start's gap is a numpy complex128 and takes
+    # the analytic |gap| on either sign of its real part. A difference's
+    # error falls with its step d as d^2, then rises as round-off / d
+    # (chi's gap cancels to 1e-5 of its terms here), so the closest of
+    # five steps is the check
+    rng = np.random.default_rng(30)
+    signs = set()
+    for _ in range(40):
+        kappa = 0.0 if subspace is None else float(rng.uniform(0.1, 1.0))
+        params = random_params(rng, kappa=kappa, subspace=subspace)
+        eta_c = carnot_cop(params.T_c, params.T_r, params.T_h)
+        eta = float(rng.uniform(0.05, 0.95)) * eta_c
+        steps = eta * np.array([1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+        pts = evaluate(params, "eta", np.concatenate(
+            (eta - steps, [eta], (eta + steps)[::-1])))
+        if not (np.all(pts.gap > 0) or np.all(pts.gap < 0)):
+            continue   # a pole of chi between the difference points
+        signs.add(bool(pts.gap[5] > 0))
+        step = object.__new__(FridgeParams)
+        step.__dict__.update(vars(params), eta=complex(eta, analysis._H))
+        gap = qsl._speed(step, steady.steady_columns(step))[0]
+        assert type(gap) is (complex if subspace is None else np.complex128)
+        z = chi_at_eta(params, complex(eta, analysis._H))
+        assert z.real == pytest.approx(pts.chi[5], rel=1e-14)
+        central = (pts.chi[6:][::-1] - pts.chi[:5]) / (2.0 * steps)
+        scale = abs(z.imag / analysis._H) + abs(pts.chi[5]) / eta
+        assert min(abs(z.imag / analysis._H - central)) <= 1e-6 * scale
+    assert signs == {True, False}
+
+
+def test_sign_change_pins_a_root_and_bisects_near_a_pole():
+    # Illinois steps on a smooth sign change; through a pole the secant
+    # stalls and the bisections bound the steps
+    for f, most in ((lambda x: (0.3 - x) * (1.0 + x * x), 10),
+                    (lambda x: 0.0 if x == 0.3 else 1.0 / (0.3 - x), 110)):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        x = analysis._sign_change(counted, 0.0, f(0.0), 1.0, f(1.0))
+        assert abs(x - 0.3) <= 2.0 * math.ulp(0.3)
+        assert all(0.0 < c < 1.0 for c in calls) and len(calls) <= most
 
 
 def test_zoom_max_locates_peak():
@@ -290,25 +393,43 @@ def test_maximizer_keeps_a_spike_at_a_scan_point(cooling_params,
 
 
 def test_maximizer_raises_the_first_failing_scan_point(cooling_params,
+                                                       unequal_rate_params,
                                                        monkeypatch):
     # every scan point refused: the error of the first
     with pytest.raises(FridgeError, match="lambda"):
         maximize_chi_over_eta(dataclasses.replace(cooling_params, g=1e-200))
 
-    # two refused points of the scan (64 points) or of the first zoom
-    # level (65): the lower one's error, of its own type
-    for size in (64, 65):
-        def refusing(base, knob, values):
-            pts = evaluate(base, knob, values)
-            if len(values) == size:
-                errors = list(pts.errors)
-                errors[40], errors[20] = (FridgeError("at 40"),
-                                          ValueError("at 20"))
-                pts = pts._replace(errors=tuple(errors))
-            return pts
-        monkeypatch.setattr(analysis, "evaluate", refusing)
-        with pytest.raises(ValueError, match="at 20"):
-            maximize_chi_over_eta(cooling_params, bracket=(0.05, 0.4))
+    # two refused points of the scan: the lower one's error, of its own
+    # type
+    def refusing(base, knob, values):
+        pts = evaluate(base, knob, values)
+        errors = list(pts.errors)
+        errors[40], errors[20] = FridgeError("at 40"), ValueError("at 20")
+        return pts._replace(errors=tuple(errors))
+    monkeypatch.setattr(analysis, "evaluate", refusing)
+    with pytest.raises(ValueError, match="at 20"):
+        maximize_chi_over_eta(cooling_params, bracket=(0.05, 0.4))
+    monkeypatch.undo()
+
+    # a refused point of the refinement raises its own error: a slope at
+    # the cells' ends, one inside them, or the real chi at the root
+    for refused in (0, 1, 4, -1):
+        points = []
+
+        def counting(base, eta):
+            points.append(eta)
+            return chi_at_eta(base, eta)
+        monkeypatch.setattr(analysis, "chi_at_eta", counting)
+        maximize_chi_over_eta(unequal_rate_params, bracket=(0.05, 0.4))
+        at = points[refused]
+
+        def refusing_point(base, eta):
+            if eta == at:
+                raise ValueError(f"at {eta}")
+            return chi_at_eta(base, eta)
+        monkeypatch.setattr(analysis, "chi_at_eta", refusing_point)
+        with pytest.raises(ValueError, match=f"at {re.escape(str(at))}"):
+            maximize_chi_over_eta(unequal_rate_params, bracket=(0.05, 0.4))
 
 
 def test_maximizer_boundary_spike_raises():

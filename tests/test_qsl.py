@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,7 @@ def test_evaluator_is_the_pointwise_path_bit_for_bit(seed, knob, sub):
             assert ([repr(float(c[i])) for c in pts[:7]]
                     == list(map(repr, want)))
             if knob == "eta":
+                assert repr(float(qsl.chi_at_eta(params, v))) == repr(qrep.chi)
                 # the (8, n) stacks against the point's loop over k, and
                 # that loop against the thermal product and sigma's terms
                 one = steady.steady_columns(pt)
@@ -243,6 +245,18 @@ def test_evaluator_is_the_pointwise_path_bit_for_bit(seed, knob, sub):
                     thermal_populations(pt))).real.tobytes()
                 assert sig.tobytes() == np.diag(
                     _sigma_by_embedding(pt)).real.tobytes()
+
+
+@pytest.mark.parametrize("g", [1e-200, 1e200])
+def test_chi_at_eta_raises_the_refusal_of_evaluates_row(cooling_params, g):
+    # lambda + q^2/(2g^2) overflows at a tiny g, g^2 at a huge one; a
+    # complex step in eta raises the same
+    base = dataclasses.replace(cooling_params, g=g)
+    want = evaluate(base, "eta", [0.3]).errors[0]
+    assert isinstance(want, FridgeError)
+    for eta in (0.3, complex(0.3, 1e-30)):
+        with pytest.raises(FridgeError, match=f"^{re.escape(str(want))}$"):
+            qsl.chi_at_eta(base, eta)
 
 
 # ----------------------------------------------------------------------
