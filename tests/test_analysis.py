@@ -338,10 +338,13 @@ def test_complex_step_slope_matches_central_differences(subspace):
 
 
 def test_sign_change_pins_a_root_and_bisects_near_a_pole():
-    # Illinois steps on a smooth sign change; through a pole the secant
-    # stalls and the bisections bound the steps
-    for f, most in ((lambda x: (0.3 - x) * (1.0 + x * x), 10),
-                    (lambda x: 0.0 if x == 0.3 else 1.0 / (0.3 - x), 110)):
+    # Illinois steps on a smooth sign change; through a pole of chi its
+    # slope flips as -sign(x - c)/(x - c)^2, the secant stalls and the
+    # bisections bound the steps (151 without them)
+    def pole(x):
+        d = x - 0.3
+        return 0.0 if d == 0.0 else -math.copysign(1.0, d) / d ** 2
+    for f, most in ((lambda x: (0.3 - x) * (1.0 + x * x), 10), (pole, 110)):
         calls = []
 
         def counted(x):
